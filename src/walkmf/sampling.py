@@ -3,16 +3,18 @@
 One long walk is generated per worker; every position in the center range
 emits its following `window` positions as (center, context) pairs, and for
 undirected emission the mirrored (context, center) pair as well. Counts are
-accumulated exactly (integer arithmetic throughout), so all marginal
-identities hold to the last count.
+accumulated exactly (integer arithmetic throughout) into one dense n x n
+int64 matrix, the only representation of counts; the marginals are derived
+from it, so all marginal identities hold to the last count. This module alone
+knows the counts.csv / counts.json interchange format.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
-from functools import cached_property
+import warnings
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -100,52 +102,48 @@ class Walk:
 
 @dataclass(frozen=True, eq=False)
 class CooccurrenceCounts:
-    """Exact pair counts and their marginals.
+    """Exact pair counts as one dense n x n int64 matrix.
 
-    `pair_counts` holds only nonzero entries; `node_counts[v]` is the number
-    of pairs with first element v, `context_counts[c]` the number with second
-    element c, `total` the multiset size.
+    `dense[v, c]` is #(v, c), the number of pairs with center v and context
+    c. The marginals are derived from it here and nowhere else:
+    `node_counts[v]` = #(v) (row sums), `context_counts[c]` = #(c) (column
+    sums), `total` = |D|. `dense` is a read-only view, so they cannot
+    disagree with it.
     """
 
-    n: int
-    pair_counts: dict[tuple[int, int], int]
-    node_counts: np.ndarray
-    context_counts: np.ndarray
-    total: int
+    dense: np.ndarray
+    node_counts: np.ndarray = field(init=False)
+    context_counts: np.ndarray = field(init=False)
+    total: int = field(init=False)
 
     def __post_init__(self):
-        if int(self.node_counts.sum()) != self.total or int(self.context_counts.sum()) != self.total:
-            raise ValueError("marginal counts do not sum to the total")
-
-    @classmethod
-    def from_matrix(cls, mat: np.ndarray) -> "CooccurrenceCounts":
-        mat = np.asarray(mat)
+        mat = np.asarray(self.dense)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"count matrix must be square, got shape {mat.shape}")
+        if mat.dtype.kind not in "iu":
+            raise ValueError(f"counts must be integers, got dtype {mat.dtype}")
+        mat = mat.astype(np.int64, copy=False).view()
         if np.any(mat < 0):
             raise ValueError("counts must be non-negative")
-        rows, cols = np.nonzero(mat)
-        pair_counts = {(int(i), int(j)): int(mat[i, j]) for i, j in zip(rows, cols)}
-        return cls(
-            n=mat.shape[0],
-            pair_counts=pair_counts,
-            node_counts=mat.sum(axis=1).astype(np.int64),
-            context_counts=mat.sum(axis=0).astype(np.int64),
-            total=int(mat.sum()),
-        )
+        mat.flags.writeable = False
+        object.__setattr__(self, "dense", mat)
+        object.__setattr__(self, "node_counts", mat.sum(axis=1))
+        object.__setattr__(self, "context_counts", mat.sum(axis=0))
+        object.__setattr__(self, "total", int(self.node_counts.sum()))
 
-    @cached_property
-    def dense(self) -> np.ndarray:
-        mat = np.zeros((self.n, self.n), dtype=np.int64)
-        for (v, c), cnt in self.pair_counts.items():
-            mat[v, c] = cnt
-        return mat
+    @classmethod
+    def from_matrix(cls, mat) -> "CooccurrenceCounts":
+        return cls(mat)
+
+    @property
+    def n(self) -> int:
+        return self.dense.shape[0]
 
     def count(self, v: int, c: int) -> int:
-        return self.pair_counts.get((v, c), 0)
+        return int(self.dense[v, c])
 
     def is_symmetric(self) -> bool:
-        return all(self.pair_counts.get((c, v)) == cnt for (v, c), cnt in self.pair_counts.items())
+        return np.array_equal(self.dense, self.dense.T)
 
 
 def merge_counts(parts: list[CooccurrenceCounts]) -> CooccurrenceCounts:
@@ -158,7 +156,7 @@ def merge_counts(parts: list[CooccurrenceCounts]) -> CooccurrenceCounts:
     total = np.zeros((n, n), dtype=np.int64)
     for p in parts:
         total += p.dense
-    return CooccurrenceCounts.from_matrix(total)
+    return CooccurrenceCounts(total)
 
 
 def _draw_start(g: Graph, cfg: SamplerConfig, rng: np.random.Generator) -> int:
@@ -217,7 +215,7 @@ def extract_pairs(walk: Walk, window: int, directed: bool, burn_in: int,
     mat = forward.reshape(n, n)
     if not directed:
         mat = mat + mat.T
-    return CooccurrenceCounts.from_matrix(mat)
+    return CooccurrenceCounts(mat)
 
 
 def _worker_seed(seed: int, worker: int) -> int:
@@ -270,11 +268,11 @@ def empirical_frequency(counts: CooccurrenceCounts) -> np.ndarray:
 
 def write_counts_csv(counts: CooccurrenceCounts, path) -> None:
     """Nonzero counts as 'v,c,count' rows, ordered by (v, c)."""
+    v, c = np.nonzero(counts.dense)  # row-major, so already in (v, c) order
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["v", "c", "count"])
-        for (v, c) in sorted(counts.pair_counts):
-            writer.writerow([v, c, counts.pair_counts[(v, c)]])
+        writer.writerows(zip(v.tolist(), c.tolist(), counts.dense[v, c].tolist()))
 
 
 def write_counts_sidecar(counts: CooccurrenceCounts, path, config: Optional[SamplerConfig] = None) -> None:
@@ -290,24 +288,64 @@ def write_counts_sidecar(counts: CooccurrenceCounts, path, config: Optional[Samp
         fh.write("\n")
 
 
+_SIDECAR_KEYS = ("n", "total", "node_counts", "context_counts")
+
+
 def read_counts_csv(path, sidecar_path) -> tuple[CooccurrenceCounts, Optional[SamplerConfig]]:
-    """Load counts written by write_counts_csv + sidecar; cross-checks totals."""
+    """Load counts written by write_counts_csv + sidecar.
+
+    Every malformed input raises ValueError naming the file: a bad header,
+    a row without exactly three integer fields, a node id outside 0..n-1, a
+    negative count, a repeated (v, c) row, a sidecar that is not JSON, lacks
+    `n`, `total`, `node_counts` or `context_counts`, or has a malformed
+    `sampler_config`, and marginals that disagree with the rows. Rows may
+    end in \r\n or \n; a header-only file holds all-zero counts.
+    """
     with open(sidecar_path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{sidecar_path}: not valid JSON: {exc}") from None
+    if not isinstance(meta, dict) or any(key not in meta for key in _SIDECAR_KEYS):
+        raise ValueError(f"{sidecar_path}: sidecar must be an object with keys {', '.join(_SIDECAR_KEYS)}")
     n = meta["n"]
-    mat = np.zeros((n, n), dtype=np.int64)
+    if type(n) is not int or n < 1:
+        raise ValueError(f"{sidecar_path}: n must be a positive integer, got {n!r}")
+
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["v", "c", "count"]:
-            raise ValueError(f"unexpected counts header: {header}")
-        for row in reader:
-            v, c, cnt = int(row[0]), int(row[1]), int(row[2])
-            mat[v, c] = cnt
-    counts = CooccurrenceCounts.from_matrix(mat)
-    if counts.total != meta["total"]:
-        raise ValueError(
-            f"counts file total {counts.total} disagrees with sidecar total {meta['total']}"
-        )
+        header = fh.readline().rstrip("\r\n")
+        if header != "v,c,count":
+            raise ValueError(f"{path}: unexpected counts header: {header!r}")
+        try:
+            with warnings.catch_warnings():
+                # loadtxt warns on a header-only file, which is valid.
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if rows.size == 0:
+        rows = rows.reshape(0, 3)
+    elif rows.shape[1] != 3:
+        raise ValueError(f"{path}: rows must have 3 fields v,c,count, got {rows.shape[1]}")
+    v, c, cnt = rows.T
+    if np.any((v < 0) | (v >= n) | (c < 0) | (c >= n)):
+        raise ValueError(f"{path}: node id outside 0..{n - 1}")
+    if np.any(cnt < 0):
+        raise ValueError(f"{path}: negative count")
+    codes = np.sort(v * n + c)
+    if np.any(codes[1:] == codes[:-1]):
+        raise ValueError(f"{path}: repeated (v, c) row")
+    mat = np.zeros((n, n), dtype=np.int64)
+    mat[v, c] = cnt
+    counts = CooccurrenceCounts(mat)
+    for key in ("total", "node_counts", "context_counts"):
+        if not np.array_equal(getattr(counts, key), meta[key]):
+            raise ValueError(f"{path}: counts file {key} disagrees with sidecar {sidecar_path}")
+
     cfg = meta.get("sampler_config")
-    return counts, SamplerConfig.from_dict(cfg) if cfg else None
+    if not cfg:
+        return counts, None
+    try:
+        return counts, SamplerConfig.from_dict(cfg)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{sidecar_path}: bad sampler_config: {exc}") from None

@@ -145,7 +145,7 @@ def train_sgns(counts: CooccurrenceCounts, cfg: TrainConfig) -> TrainResult:
     decays linearly over all steps to LR_FLOOR_RATIO of its initial value.
     The exact objective is recorded before training and after every epoch.
     """
-    if counts.total == 0 or not counts.pair_counts:
+    if counts.total == 0:
         raise ValueError("counts are empty")
     n = counts.n
     rng = np.random.default_rng(cfg.seed)
@@ -153,11 +153,8 @@ def train_sgns(counts: CooccurrenceCounts, cfg: TrainConfig) -> TrainResult:
     w = rng.uniform(-scale, scale, size=(n, cfg.dim))
     h = rng.uniform(-scale, scale, size=(n, cfg.dim))
 
-    items = sorted(counts.pair_counts.items())
-    pos_v = np.array([v for (v, _), _ in items], dtype=np.int64)
-    pos_c = np.array([c for (_, c), _ in items], dtype=np.int64)
-    pos_weight = np.array([cnt for _, cnt in items], dtype=float)
-    pos_weight /= pos_weight.sum()
+    pos_v, pos_c = np.nonzero(counts.dense)  # the positives, in (v, c) order
+    pos_weight = counts.dense[pos_v, pos_c] / counts.total
     noise = noise_distribution(counts)
 
     pair = EmbeddingPair(w=w, h=h)
@@ -172,7 +169,7 @@ def train_sgns(counts: CooccurrenceCounts, cfg: TrainConfig) -> TrainResult:
         done = 0
         while done < steps_per_epoch:
             chunk = min(_DRAW_CHUNK, steps_per_epoch - done)
-            picks = rng.choice(len(items), size=chunk, p=pos_weight)
+            picks = rng.choice(len(pos_v), size=chunk, p=pos_weight)
             negs = rng.choice(n, size=(chunk, k), p=noise)
             for row in range(chunk):
                 lr = lr0 * max(1.0 - step / total_steps, LR_FLOOR_RATIO)

@@ -142,6 +142,27 @@ class TestSample:
         assert sidecar["sampler_config"]["seed"] == 2
         assert sidecar["total"] == 2 * 3 * 50
 
+    def test_interchange_format_bytes(self, tmp_path):
+        # Pins the counts.csv / counts.json layout across versions: header,
+        # csv's \r\n terminators, nonzero rows only in (v, c) order (node 3
+        # is never visited), and the sorted, indented sidecar.
+        graph = tmp_path / "g.edges"
+        graph.write_text("0 1\n1 2\n2 0\n2 3\n")
+        out = tmp_path / "out"
+        assert main(["sample", "-i", str(graph), "-t", "2", "-L", "12", "--seed", "3",
+                     "-o", str(out)]) == 0
+        assert (out / "counts.csv").read_bytes() == (
+            b"v,c,count\r\n0,0,2\r\n0,1,7\r\n0,2,5\r\n1,0,7\r\n1,1,8\r\n1,2,6\r\n"
+            b"2,0,5\r\n2,1,6\r\n2,2,2\r\n"
+        )
+        assert (out / "counts.json").read_bytes() == (
+            b'{\n  "context_counts": [\n    14,\n    21,\n    13,\n    0\n  ],\n'
+            b'  "n": 4,\n  "node_counts": [\n    14,\n    21,\n    13,\n    0\n  ],\n'
+            b'  "sampler_config": {\n    "burn_in": 0,\n    "centers": 12,\n'
+            b'    "seed": 3,\n    "start_mode": "stationary",\n    "start_node": null,\n'
+            b'    "window": 2,\n    "workers": 1\n  },\n  "total": 48\n}\n'
+        )
+
 
 class TestCompare:
     def test_analytic_counts_match_closed_forms(self, tmp_path, path_graph_file):
@@ -175,6 +196,65 @@ class TestCompare:
                      "-t", "2", "-o", str(tmp_path / "out")])
         assert code == 2
         assert "nodes" in capsys.readouterr().err
+
+
+def _replace_row(old, new):
+    return lambda text, meta: (text.replace(f"\r\n{old}\r\n", f"\r\n{new}\r\n"), meta)
+
+
+def _edit_sidecar(**changes):
+    return lambda text, meta: (text, {**meta, **changes})
+
+
+def _drop_sidecar_key(key):
+    return lambda text, meta: (text, {k: v for k, v in meta.items() if k != key})
+
+
+# Each case edits the analytic path counts (rows and sidecar dict) into one
+# malformed input; the value names the file the error must mention.
+MALFORMED_COUNTS = {
+    "id_out_of_range": ("counts.csv", _replace_row("2,2,1", "3,2,1")),
+    "negative_id": ("counts.csv", _replace_row("2,2,1", "-1,2,1")),
+    "short_row": ("counts.csv", _replace_row("2,2,1", "2,2")),
+    "long_row": ("counts.csv", _replace_row("2,2,1", "2,2,1,0")),
+    "non_integer": ("counts.csv", _replace_row("2,2,1", "2,2,1.0")),
+    "negative_count": ("counts.csv", _replace_row("2,2,1", "2,2,-1")),
+    "duplicate_row": ("counts.csv", _replace_row("2,2,1", "2,2,1\r\n2,2,1")),
+    "bad_header": ("counts.csv", lambda text, meta: (text.replace("v,c,count", "v,c,n"), meta)),
+    "node_counts_disagree": ("counts.csv", _edit_sidecar(node_counts=[5, 7, 4])),
+    "context_counts_disagree": ("counts.csv", _edit_sidecar(context_counts=[4, 9, 3])),
+    "missing_n": ("counts.json", _drop_sidecar_key("n")),
+    "missing_node_counts": ("counts.json", _drop_sidecar_key("node_counts")),
+    "n_not_integer": ("counts.json", _edit_sidecar(n="3")),
+    "bad_sampler_config": ("counts.json", _edit_sidecar(sampler_config={"bogus": 1})),
+    "sidecar_not_json": ("counts.json", lambda text, meta: (text, "{")),
+}
+
+
+class TestMalformedCounts:
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_COUNTS))
+    def test_exits_2_naming_the_file(self, tmp_path, path_graph_file, capsys, command, case):
+        named, edit = MALFORMED_COUNTS[case]
+        counts = CooccurrenceCounts.from_matrix(np.array([[1, 2, 1], [2, 4, 2], [1, 2, 1]]))
+        csv_path, sidecar_path = tmp_path / "counts.csv", tmp_path / "counts.json"
+        write_counts_csv(counts, csv_path)
+        write_counts_sidecar(counts, sidecar_path)
+        text, meta = edit(csv_path.read_bytes().decode(),
+                          json.loads(sidecar_path.read_text()))
+        csv_path.write_text(text, newline="")
+        sidecar_path.write_text(meta if isinstance(meta, str) else json.dumps(meta))
+        argv = {
+            "train": ["train", "--counts", str(csv_path), "-d", "2", "-k", "1",
+                      "--epochs", "1", "-o", str(tmp_path / "out")],
+            "compare": ["compare", "-i", str(path_graph_file), "--counts", str(csv_path),
+                        "-t", "2", "-k", "1", "-o", str(tmp_path / "out")],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("walkmf: error:")
+        assert named in err
+        assert "Traceback" not in err
 
 
 class TestEmbed:

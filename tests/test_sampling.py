@@ -101,13 +101,13 @@ class TestExtractPairs:
     def test_hand_enumeration_undirected(self):
         walk = Walk(nodes=np.array([0, 1, 0, 1]), n=2, seed=0)
         counts = extract_pairs(walk, window=1, directed=False, burn_in=0, centers=3)
-        assert counts.pair_counts == {(0, 1): 3, (1, 0): 3}
+        assert counts.dense.tolist() == [[0, 3], [3, 0]]
         assert counts.total == 6
 
     def test_hand_enumeration_directed(self):
         walk = Walk(nodes=np.array([0, 1, 0, 1]), n=2, seed=0)
         counts = extract_pairs(walk, window=1, directed=True, burn_in=0, centers=3)
-        assert counts.pair_counts == {(0, 1): 2, (1, 0): 1}
+        assert counts.dense.tolist() == [[0, 2], [1, 0]]
         assert counts.total == 3
 
     def test_total_is_2tL_undirected(self):
@@ -120,7 +120,7 @@ class TestExtractPairs:
         walk = Walk(nodes=np.array([0, 1, 0, 1, 0]), n=2, seed=0)
         counts = extract_pairs(walk, window=1, directed=True, burn_in=2, centers=2)
         # centers are positions 2 and 3: pairs (0,1) and (1,0)
-        assert counts.pair_counts == {(0, 1): 1, (1, 0): 1}
+        assert counts.dense.tolist() == [[0, 1], [1, 0]]
 
     def test_walk_too_short_rejected(self):
         walk = Walk(nodes=np.array([0, 1]), n=2, seed=0)
@@ -160,7 +160,7 @@ class TestCountInvariants:
     @given(_sampling_case())
     def test_deterministic(self, case):
         g, cfg = case
-        assert sample_counts(g, cfg).pair_counts == sample_counts(g, cfg).pair_counts
+        assert np.array_equal(sample_counts(g, cfg).dense, sample_counts(g, cfg).dense)
 
     def test_directed_total_is_tL(self):
         from graphgen import cycle
@@ -173,7 +173,7 @@ class TestSampleCounts:
     def test_k2_forced_counts(self):
         cfg = SamplerConfig(window=1, centers=1000, seed=0)
         counts = sample_counts(k2(), cfg)
-        assert counts.pair_counts == {(0, 1): 1000, (1, 0): 1000}
+        assert counts.dense.tolist() == [[0, 1000], [1000, 0]]
         assert counts.total == 2000
 
     def test_workers_split_is_deterministic_and_consistent(self):
@@ -181,7 +181,7 @@ class TestSampleCounts:
         cfg4 = SamplerConfig(window=2, centers=2001, seed=77, workers=4)
         counts_a = sample_counts(g, cfg4)
         counts_b = sample_counts(g, cfg4)
-        assert counts_a.pair_counts == counts_b.pair_counts
+        assert np.array_equal(counts_a.dense, counts_b.dense)
         assert counts_a.total == 2 * 2 * 2001
         single = sample_counts(g, SamplerConfig(window=2, centers=2001, seed=77))
         assert single.total == counts_a.total
@@ -202,7 +202,7 @@ class TestSampleCounts:
         ]
         forward = merge_counts(parts)
         backward = merge_counts(parts[::-1])
-        assert forward.pair_counts == backward.pair_counts
+        assert np.array_equal(forward.dense, backward.dense)
 
 
 class TestEmpiricalStatistics:
@@ -269,7 +269,7 @@ class TestCountsIO:
         write_counts_csv(counts, tmp_path / "counts.csv")
         write_counts_sidecar(counts, tmp_path / "counts.json", cfg)
         loaded, loaded_cfg = read_counts_csv(tmp_path / "counts.csv", tmp_path / "counts.json")
-        assert loaded.pair_counts == counts.pair_counts
+        assert np.array_equal(loaded.dense, counts.dense)
         assert loaded.total == counts.total
         assert loaded_cfg == cfg
 
@@ -282,3 +282,62 @@ class TestCountsIO:
         (tmp_path / "counts.json").write_text(sidecar)
         with pytest.raises(ValueError, match="total"):
             read_counts_csv(tmp_path / "counts.csv", tmp_path / "counts.json")
+
+    def test_lf_and_crlf_files_load_alike(self, tmp_path):
+        counts = CooccurrenceCounts.from_matrix(np.array([[0, 2, 1], [2, 0, 0], [1, 0, 0]]))
+        write_counts_csv(counts, tmp_path / "counts.csv")
+        write_counts_sidecar(counts, tmp_path / "counts.json")
+        crlf = (tmp_path / "counts.csv").read_bytes()
+        assert b"\r\n" in crlf
+        (tmp_path / "lf.csv").write_bytes(crlf.replace(b"\r\n", b"\n"))
+        for name in ("counts.csv", "lf.csv"):
+            loaded, _ = read_counts_csv(tmp_path / name, tmp_path / "counts.json")
+            assert np.array_equal(loaded.dense, counts.dense)
+
+    def test_header_only_file_is_all_zero_counts(self, tmp_path):
+        counts = CooccurrenceCounts.from_matrix(np.zeros((3, 3), dtype=np.int64))
+        write_counts_csv(counts, tmp_path / "counts.csv")
+        write_counts_sidecar(counts, tmp_path / "counts.json")
+        assert (tmp_path / "counts.csv").read_bytes() == b"v,c,count\r\n"
+        loaded, cfg = read_counts_csv(tmp_path / "counts.csv", tmp_path / "counts.json")
+        assert loaded.n == 3 and loaded.total == 0
+        assert not loaded.dense.any()
+        assert cfg is None
+
+
+class TestCountsValidation:
+    @pytest.mark.parametrize("mat", [
+        np.zeros((2, 3), dtype=np.int64),          # not square
+        np.zeros(4, dtype=np.int64),               # not 2-D
+        np.zeros((2, 2, 2), dtype=np.int64),       # not 2-D
+        np.array([[0, -1], [1, 0]]),               # negative
+        np.array([[0.0, 1.5], [1.5, 0.0]]),        # not integers
+    ])
+    def test_constructor_rejects(self, mat):
+        with pytest.raises(ValueError):
+            CooccurrenceCounts.from_matrix(mat)
+
+    def test_marginals_are_derived_from_the_matrix(self):
+        counts = CooccurrenceCounts.from_matrix(np.array([[0, 2, 1], [3, 0, 0], [1, 0, 4]]))
+        assert counts.n == 3
+        assert counts.node_counts.tolist() == [3, 3, 5]
+        assert counts.context_counts.tolist() == [4, 2, 5]
+        assert counts.total == 11
+        assert counts.count(1, 0) == 3 and counts.count(0, 1) == 2
+        assert not counts.is_symmetric()
+        with pytest.raises(ValueError):
+            counts.dense[0, 0] = 1
+
+    def test_merge_rejects_empty_list(self):
+        with pytest.raises(ValueError, match="nothing"):
+            merge_counts([])
+
+    def test_merge_rejects_different_node_sets(self):
+        parts = [CooccurrenceCounts.from_matrix(np.ones((n, n), dtype=np.int64)) for n in (2, 3)]
+        with pytest.raises(ValueError, match="different node sets"):
+            merge_counts(parts)
+
+    def test_merge_sums_matrices(self):
+        a = CooccurrenceCounts.from_matrix(np.array([[0, 1], [2, 0]]))
+        b = CooccurrenceCounts.from_matrix(np.array([[3, 0], [1, 1]]))
+        assert merge_counts([a, b]).dense.tolist() == [[3, 1], [3, 1]]
