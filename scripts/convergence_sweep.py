@@ -60,7 +60,7 @@ def main() -> int:
 
     pi = stationary_distribution(graph)
     p = walk_probability_matrix(graph, args.window)
-    exact_pmi = sgns_target_exact(graph, args.window, k=args.negative, zero_policy="mask")
+    exact_pmi = sgns_target_exact(p, pi, k=args.negative, zero_policy="mask")
 
     rows = []
     header = f"{'L':>10}  {'freq max dev':>12}  {'cond max dev':>12}  {'pmi max dev':>12}"

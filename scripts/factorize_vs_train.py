@@ -6,7 +6,7 @@ reports reconstruction error as the rank grows. Route B trains SGNS on
 sampled counts and reports how close the learned dot products get to the
 same target. Both should agree when the dimension is large enough.
 
-    python scripts/factorize_vs_train.py --demo -t 2 -k 1 --epochs 60
+    python scripts/factorize_vs_train.py --demo -t 2
 """
 
 import argparse
@@ -29,7 +29,9 @@ from walkmf import (  # noqa: E402
     sample_counts,
     sgns_target_exact,
     sgns_target_from_counts,
+    stationary_distribution,
     train_sgns,
+    walk_probability_matrix,
 )
 
 DEMO_EDGES = "0 1\n1 2\n2 3\n3 0\n0 2\n"
@@ -42,8 +44,8 @@ def main() -> int:
     parser.add_argument("--demo", action="store_true", help="use a built-in 4-node graph")
     parser.add_argument("--window", "-t", type=int, default=2)
     parser.add_argument("--negative", "-k", type=int, default=1)
-    parser.add_argument("--length", "-L", type=int, default=200_000)
-    parser.add_argument("--epochs", type=int, default=40)
+    parser.add_argument("--length", "-L", type=int, default=20_000)
+    parser.add_argument("--epochs", type=int, default=3)
     parser.add_argument("--lr", type=float, default=0.05)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
@@ -54,7 +56,9 @@ def main() -> int:
         graph = load_edge_list(args.input)
     print(f"graph: n={graph.n}, |E|={graph.num_edges}, window={args.window}, k={args.negative}")
 
-    target = sgns_target_exact(graph, args.window, k=args.negative, zero_policy="truncate")
+    target = sgns_target_exact(walk_probability_matrix(graph, args.window),
+                               stationary_distribution(graph), k=args.negative,
+                               zero_policy="truncate")
     norm = np.linalg.norm(target.values)
     print("\nroute A: truncated SVD of the exact shifted-PMI target")
     for dim in range(1, graph.n + 1):

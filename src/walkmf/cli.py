@@ -30,7 +30,7 @@ from .factorization import (
     singular_values,
     write_embedding_matrix,
 )
-from .graphs import EdgeListError, GraphStructureError, load_edge_list
+from .graphs import EdgeListError, GraphStructureError, load_edge_list, stationary_distribution
 from .sampling import (
     SamplerConfig,
     default_sampler_config,
@@ -52,7 +52,6 @@ from .targets import (
     write_matrix_json,
     write_vector_csv,
 )
-from .graphs import stationary_distribution
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -137,21 +136,21 @@ def _write_vector(vec, out_dir: Path, stem: str, fmt: str, metadata=None) -> str
     return name
 
 
-def _build_target(g, config):
+def _build_target(config, p, pi=None):
+    """The configured target from the walk matrix p (and, for sgns, pi)."""
     policy = config["zero_policy"]
     if config["target"] == "softmax":
-        p = walk_probability_matrix(g, config["window"])
         return softmax_target(p, bias_mode=config["bias"], zero_policy=policy,
                               epsilon=config["epsilon"])
-    return sgns_target_exact(g, config["window"], k=config["negatives"],
-                             zero_policy=policy, epsilon=config["epsilon"])
+    return sgns_target_exact(p, pi, k=config["negatives"], zero_policy=policy,
+                             epsilon=config["epsilon"])
 
 
 def run_exact(config: dict, out_dir: Path) -> list[str]:
     g = load_edge_list(config["input"], directed=config["directed"])
     p = walk_probability_matrix(g, config["window"])
-    target = _build_target(g, config)
     pi = stationary_distribution(g)
+    target = _build_target(config, p, pi)
 
     fmt = config["format"]
     outputs = [
@@ -194,7 +193,7 @@ def run_compare(config: dict, out_dir: Path) -> list[str]:
     k = config["negatives"]
     # Mask policy on both PMI sides keeps the comparison on pairs both can see.
     sampled = sgns_target_from_counts(counts, k=k, zero_policy="mask")
-    exact = sgns_target_exact(g, config["window"], k=k, zero_policy="mask")
+    exact = sgns_target_exact(p, pi, k=k, zero_policy="mask")
 
     report = {
         "conditional_vs_walk_matrix": compare_matrices(
@@ -216,7 +215,9 @@ def run_embed(config: dict, out_dir: Path) -> list[str]:
     g = load_edge_list(config["input"], directed=config["directed"])
     if config["dim"] > g.n:
         raise UsageError(f"embedding dimension {config['dim']} exceeds node count {g.n}")
-    target = _build_target(g, config)
+    p = walk_probability_matrix(g, config["window"])
+    pi = stationary_distribution(g) if config["target"] == "sgns" else None
+    target = _build_target(config, p, pi)
     pair = factorize(target, config["dim"], split=config["split"])
     error = reconstruction_error(target, pair)
     spectrum = singular_values(target)

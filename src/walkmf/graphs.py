@@ -7,8 +7,7 @@ one "u v" pair per line, '#' lines are comments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterable, TextIO, Union
 
 import numpy as np
@@ -24,60 +23,56 @@ class GraphStructureError(ValueError):
     """Graph shape does not support the requested operation."""
 
 
+def _csr(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Compressed rows of the arcs src -> dst: the neighbours of node i are
+    `indices[indptr[i]:indptr[i + 1]]`, sorted."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[np.lexsort((dst, src))]
+
+
 @dataclass(frozen=True)
 class Graph:
     """Unweighted graph with dense node ids.
 
-    ``degrees[i]`` is the out-degree of node i; for undirected graphs each
-    stored edge counts toward both endpoints.
+    `edges` is the input record. Derived from it once, as read-only arrays:
+    `degrees[i]`, the out-degree of node i (for undirected graphs each stored
+    edge counts toward both endpoints), and the adjacency in compressed rows,
+    `indptr`/`indices`, whose row i holds the sorted out-neighbours of i.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
     directed: bool = False
+    degrees: np.ndarray = field(init=False, repr=False, compare=False)
+    indptr: np.ndarray = field(init=False, repr=False, compare=False)
+    indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise EdgeListError(f"edge ({u}, {v}) references node outside 0..{self.n - 1}")
-            if u == v:
-                raise EdgeListError(f"self-loop on node {u}")
-            key = (u, v) if self.directed else (min(u, v), max(u, v))
-            if key in seen:
-                raise EdgeListError(f"duplicate edge ({u}, {v})")
-            seen.add(key)
+        try:
+            arcs = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        except OverflowError:
+            raise EdgeListError("node ids must be below 2**63") from None
+        outside = np.nonzero(np.any((arcs < 0) | (arcs >= self.n), axis=1))[0]
+        if outside.size:
+            u, v = self.edges[outside[0]]
+            raise EdgeListError(f"edge ({u}, {v}) references node outside 0..{self.n - 1}")
+        loops = np.nonzero(arcs[:, 0] == arcs[:, 1])[0]
+        if loops.size:
+            raise EdgeListError(f"self-loop on node {self.edges[loops[0]][0]}")
+        keys = arcs if self.directed else np.sort(arcs, axis=1)
+        repeated = np.ones(len(keys), dtype=bool)
+        repeated[np.unique(keys, axis=0, return_index=True)[1]] = False
+        if repeated.any():
+            u, v = self.edges[np.argmax(repeated)]
+            raise EdgeListError(f"duplicate edge ({u}, {v})")
 
-    @cached_property
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            if not self.directed:
-                deg[v] += 1
-        return deg
-
-    @cached_property
-    def out_neighbors(self) -> list[list[int]]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            if not self.directed:
-                nbrs[v].append(u)
-        for lst in nbrs:
-            lst.sort()
-        return nbrs
-
-    @cached_property
-    def in_neighbors(self) -> list[list[int]]:
         if not self.directed:
-            return self.out_neighbors
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[v].append(u)
-        for lst in nbrs:
-            lst.sort()
-        return nbrs
+            arcs = np.concatenate([arcs, arcs[:, ::-1]])
+        indptr, indices = _csr(arcs[:, 0], arcs[:, 1], self.n)
+        for name, value in (("degrees", np.diff(indptr)), ("indptr", indptr), ("indices", indices)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def num_edges(self) -> int:
@@ -99,7 +94,8 @@ def parse_edge_list(source: Union[str, TextIO, Iterable[str]], directed: bool = 
 
     Node count is 1 + the largest id mentioned; smaller ids that never appear
     become isolated nodes. Raises EdgeListError on malformed lines (with the
-    line number), self-loops, and duplicate edges.
+    line number); the Graph rejects self-loops and duplicate edges, naming
+    the edge.
     """
     if hasattr(source, "read"):
         lines = source.read().splitlines()
@@ -109,7 +105,6 @@ def parse_edge_list(source: Union[str, TextIO, Iterable[str]], directed: bool = 
         lines = [line.rstrip("\n") for line in source]
 
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
     max_id = -1
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -124,12 +119,6 @@ def parse_edge_list(source: Union[str, TextIO, Iterable[str]], directed: bool = 
             raise EdgeListError(f"line {lineno}: node ids must be integers, got {line!r}") from None
         if u < 0 or v < 0:
             raise EdgeListError(f"line {lineno}: node ids must be non-negative, got {line!r}")
-        if u == v:
-            raise EdgeListError(f"line {lineno}: self-loop on node {u}")
-        key = (u, v) if directed else (min(u, v), max(u, v))
-        if key in seen:
-            raise EdgeListError(f"line {lineno}: duplicate edge ({u}, {v})")
-        seen.add(key)
         edges.append((u, v))
         max_id = max(max_id, u, v)
 
@@ -157,10 +146,8 @@ def transition_matrix(g: Graph) -> np.ndarray:
             f"node {int(dead[0])} has no outgoing edges; transition probabilities are undefined"
         )
     mat = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        mat[u, v] = 1.0 / deg[u]
-        if not g.directed:
-            mat[v, u] = 1.0 / deg[v]
+    rows = np.repeat(np.arange(g.n), deg)
+    mat[rows, g.indices] = 1.0 / deg[rows]
     return mat
 
 
@@ -176,7 +163,7 @@ def is_probability_vector(vec: np.ndarray, tol: float = PROB_TOL) -> bool:
 
 def _components_undirected(g: Graph) -> int:
     seen = np.zeros(g.n, dtype=bool)
-    nbrs = g.out_neighbors
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
     count = 0
     for root in range(g.n):
         if seen[root]:
@@ -186,7 +173,7 @@ def _components_undirected(g: Graph) -> int:
         seen[root] = True
         while stack:
             node = stack.pop()
-            for nb in nbrs[node]:
+            for nb in indices[indptr[node]:indptr[node + 1]]:
                 if not seen[nb]:
                     seen[nb] = True
                     stack.append(nb)
@@ -195,26 +182,28 @@ def _components_undirected(g: Graph) -> int:
 
 def _components_strong(g: Graph) -> int:
     # Kosaraju, iterative: finish order on g, then sweep the reverse graph.
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
     order: list[int] = []
     seen = np.zeros(g.n, dtype=bool)
     for root in range(g.n):
         if seen[root]:
             continue
-        stack: list[tuple[int, int]] = [(root, 0)]
+        stack: list[tuple[int, int]] = [(root, indptr[root])]
         seen[root] = True
         while stack:
-            node, idx = stack[-1]
-            nbrs = g.out_neighbors[node]
-            if idx < len(nbrs):
-                stack[-1] = (node, idx + 1)
-                nb = nbrs[idx]
+            node, pos = stack[-1]
+            if pos < indptr[node + 1]:
+                stack[-1] = (node, pos + 1)
+                nb = indices[pos]
                 if not seen[nb]:
                     seen[nb] = True
-                    stack.append((nb, 0))
+                    stack.append((nb, indptr[nb]))
             else:
                 order.append(node)
                 stack.pop()
 
+    sources = np.repeat(np.arange(g.n), g.degrees)
+    indptr, indices = (a.tolist() for a in _csr(g.indices, sources, g.n))
     seen[:] = False
     count = 0
     for root in reversed(order):
@@ -225,7 +214,7 @@ def _components_strong(g: Graph) -> int:
         seen[root] = True
         while todo:
             node = todo.pop()
-            for nb in g.in_neighbors[node]:
+            for nb in indices[indptr[node]:indptr[node + 1]]:
                 if not seen[nb]:
                     seen[nb] = True
                     todo.append(nb)

@@ -181,14 +181,14 @@ def generate_walk(g: Graph, cfg: SamplerConfig) -> Walk:
 
     length = cfg.burn_in + cfg.centers + cfg.window
     steps = length - 1
-    nbrs = g.out_neighbors
-    # Pre-drawing the uniforms keeps the hot loop free of per-step RNG calls.
+    # Python lists and pre-drawn uniforms keep the hot loop free of NumPy
+    # scalar indexing and per-step RNG calls.
+    indptr, indices, degrees = g.indptr.tolist(), g.indices.tolist(), g.degrees.tolist()
     u = rng.random(steps).tolist()
     walk = np.empty(length, dtype=np.int64)
     walk[0] = cur = start
     for i in range(steps):
-        options = nbrs[cur]
-        cur = options[int(u[i] * len(options))]
+        cur = indices[indptr[cur] + int(u[i] * degrees[cur])]
         walk[i + 1] = cur
     return Walk(nodes=walk, n=g.n, seed=cfg.seed)
 
@@ -297,9 +297,10 @@ def read_counts_csv(path, sidecar_path) -> tuple[CooccurrenceCounts, Optional[Sa
     Every malformed input raises ValueError naming the file: a bad header,
     a row without exactly three integer fields, a node id outside 0..n-1, a
     negative count, a repeated (v, c) row, a sidecar that is not JSON, lacks
-    `n`, `total`, `node_counts` or `context_counts`, or has a malformed
-    `sampler_config`, and marginals that disagree with the rows. Rows may
-    end in \r\n or \n; a header-only file holds all-zero counts.
+    `n`, `total`, `node_counts` or `context_counts`, has marginals that are
+    not lists of n integers or a malformed `sampler_config`, and marginals
+    that disagree with the rows. Rows may end in \r\n or \n; a header-only
+    file holds all-zero counts.
     """
     with open(sidecar_path, "r", encoding="utf-8") as fh:
         try:
@@ -311,6 +312,12 @@ def read_counts_csv(path, sidecar_path) -> tuple[CooccurrenceCounts, Optional[Sa
     n = meta["n"]
     if type(n) is not int or n < 1:
         raise ValueError(f"{sidecar_path}: n must be a positive integer, got {n!r}")
+    # Checked before the n x n allocation, so a bogus n cannot exhaust memory.
+    for key in ("node_counts", "context_counts"):
+        marginal = meta[key]
+        if not (isinstance(marginal, list) and len(marginal) == n
+                and all(type(x) is int for x in marginal)):
+            raise ValueError(f"{sidecar_path}: {key} must be a list of n = {n} integers")
 
     with open(path, "r", newline="", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\r\n")

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import Graph, transition_matrix, stationary_distribution
+from .graphs import Graph, transition_matrix
 from .sampling import CooccurrenceCounts
 
 ZERO_POLICIES = ("floor", "truncate", "mask")
@@ -164,9 +164,10 @@ def sgns_target_from_counts(counts: CooccurrenceCounts, k: int = 1,
                         epsilon=epsilon, shift=k, mask=mask)
 
 
-def sgns_target_exact(g: Graph, window: int, k: int = 1, zero_policy: str = "truncate",
+def sgns_target_exact(p: WalkMatrix, pi: np.ndarray, k: int = 1, zero_policy: str = "truncate",
                       epsilon: float = DEFAULT_EPSILON) -> TargetMatrix:
-    """Infinite-sample limit of the shifted-PMI target.
+    """Infinite-sample limit of the shifted-PMI target, from the walk matrix
+    P and the stationary distribution pi of the same graph.
 
     As the walk length grows, #(i,j)/|D| approaches pi_i * P_ij while the
     marginals approach pi_i and pi_j, so the PMI entry converges to
@@ -175,12 +176,10 @@ def sgns_target_exact(g: Graph, window: int, k: int = 1, zero_policy: str = "tru
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _check_policy(zero_policy, epsilon)
-    p = walk_probability_matrix(g, window)
-    pi = stationary_distribution(g)
     raw = p.probs / (k * pi[None, :])
     values, mask = _log_with_policy(raw, zero_policy, epsilon)
     return TargetMatrix(values=values, kind="sgns", zero_policy=zero_policy,
-                        epsilon=epsilon, shift=k, window=window, mask=mask)
+                        epsilon=epsilon, shift=k, window=p.window, mask=mask)
 
 
 def compare_matrices(x: np.ndarray, y: np.ndarray,

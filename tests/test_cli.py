@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import walkmf.cli
+import walkmf.targets
 from walkmf import (
     CooccurrenceCounts,
     TrainConfig,
@@ -226,6 +228,7 @@ MALFORMED_COUNTS = {
     "missing_n": ("counts.json", _drop_sidecar_key("n")),
     "missing_node_counts": ("counts.json", _drop_sidecar_key("node_counts")),
     "n_not_integer": ("counts.json", _edit_sidecar(n="3")),
+    "n_too_large": ("counts.json", _edit_sidecar(n=1_000_000_000)),
     "bad_sampler_config": ("counts.json", _edit_sidecar(sampler_config={"bogus": 1})),
     "sidecar_not_json": ("counts.json", lambda text, meta: (text, "{")),
 }
@@ -281,6 +284,14 @@ class TestEmbed:
         w = read_embedding_matrix(out / "embeddings_w.txt")
         h = read_embedding_matrix(out / "embeddings_h.txt")
         assert w.shape == (3, 2) and h.shape == (3, 2)
+
+    def test_directed_softmax_needs_no_strong_connectivity(self, tmp_path):
+        # No dead ends, so P exists; node 2 is unreachable, so pi does not.
+        graph = tmp_path / "g.edges"
+        graph.write_text("0 1\n1 0\n2 0\n2 1\n")
+        code = main(["embed", "-i", str(graph), "--directed", "-t", "2", "-d", "2",
+                     "--target", "softmax", "-o", str(tmp_path / "out")])
+        assert code == 0
 
     def test_dim_above_node_count_is_usage_error(self, tmp_path, path_graph_file, capsys):
         code = main(["embed", "-i", str(path_graph_file), "-t", "2", "-d", "10",
@@ -370,6 +381,34 @@ class TestManifests:
         before = path_graph_file.read_bytes()
         self._run_each_command(tmp_path, path_graph_file)
         assert path_graph_file.read_bytes() == before
+
+
+class TestClosedFormsBuiltOnce:
+    @pytest.mark.parametrize("argv, pi_calls", [
+        (["exact", "--target", "softmax"], 1),
+        (["exact", "--target", "sgns"], 1),
+        (["compare", "-k", "1"], 1),
+        (["embed", "--target", "sgns", "-d", "2"], 1),
+        (["embed", "--target", "softmax", "-d", "2"], 0),
+    ], ids=["exact-softmax", "exact-sgns", "compare", "embed-sgns", "embed-softmax"])
+    def test_walk_matrix_and_stationary_call_counts(self, tmp_path, path_graph_file,
+                                                    monkeypatch, argv, pi_calls):
+        calls = {"walk_probability_matrix": 0, "stationary_distribution": 0}
+        for name in calls:
+            original = getattr(walkmf.cli, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in (walkmf.cli, walkmf.targets):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        if argv[0] == "compare":
+            argv = argv + ["--counts", str(_analytic_path_counts(tmp_path))]
+        assert main(argv + ["-i", str(path_graph_file), "-t", "2",
+                            "-o", str(tmp_path / "out")]) == 0
+        assert calls == {"walk_probability_matrix": 1, "stationary_distribution": pi_calls}
 
 
 class TestUsageErrors:

@@ -13,6 +13,7 @@ from walkmf import (
     sgns_target_exact,
     singular_values,
     softmax_target,
+    stationary_distribution,
     truncated_svd,
     walk_probability_matrix,
     write_embedding_matrix,
@@ -95,7 +96,8 @@ class TestFactorize:
         assert reconstruction_error(target, pair) < 1e-8
 
     def test_full_rank_sgns_target_reconstructs(self):
-        target = sgns_target_exact(triangle(), window=1, k=1, zero_policy="truncate")
+        target = sgns_target_exact(walk_probability_matrix(triangle(), 1),
+                                   stationary_distribution(triangle()), k=1, zero_policy="truncate")
         pair = factorize(target, d=3)
         assert reconstruction_error(target, pair) < 1e-8
 

@@ -87,6 +87,39 @@ class TestGraphInvariants:
         with pytest.raises(EdgeListError, match="outside"):
             Graph(n=2, edges=((0, 5),))
 
+    @pytest.mark.parametrize("edges, directed, match", [
+        (((0, 1), (1, 2), (0, 1)), False, r"duplicate edge \(0, 1\)"),
+        (((0, 1), (1, 2), (1, 0)), False, r"duplicate edge \(1, 0\)"),
+        (((0, 1), (1, 2), (0, 1)), True, r"duplicate edge \(0, 1\)"),
+        (((0, 1), (2, 2)), False, "self-loop on node 2"),
+        (((0, 1), (2, 2)), True, "self-loop on node 2"),
+    ])
+    def test_direct_construction_rejects(self, edges, directed, match):
+        with pytest.raises(EdgeListError, match=match):
+            Graph(n=3, edges=edges, directed=directed)
+
+    def test_reversed_pair_accepted_when_directed(self):
+        g = Graph(n=2, edges=((0, 1), (1, 0)), directed=True)
+        assert g.degrees.tolist() == [1, 1]
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 10**6), st.integers(2, 12), st.booleans())
+    def test_arrays_match_edge_loop(self, seed, n, directed):
+        # Reference: neighbour lists and transition rows built edge by edge.
+        g = (random_strongly_connected_digraph if directed else random_connected_graph)(n, seed)
+        nbrs = [[] for _ in range(n)]
+        for u, v in g.edges:
+            nbrs[u].append(v)
+            if not directed:
+                nbrs[v].append(u)
+        mat = np.zeros((n, n))
+        for u in range(n):
+            assert g.indices[g.indptr[u]:g.indptr[u + 1]].tolist() == sorted(nbrs[u])
+            assert g.degrees[u] == len(nbrs[u])
+            for v in nbrs[u]:
+                mat[u, v] = 1.0 / len(nbrs[u])
+        assert np.array_equal(transition_matrix(g), mat)
+
     def test_degree_counts_incident_edges(self):
         g = triangle()
         assert g.degrees.tolist() == [2, 2, 2]

@@ -16,6 +16,7 @@ from walkmf import (
     sgns_target_exact,
     sgns_target_from_counts,
     softmax_target,
+    stationary_distribution,
     transition_matrix,
     walk_probability_matrix,
     write_matrix_csv,
@@ -188,26 +189,30 @@ class TestSgnsTargetFromCounts:
 
 class TestSgnsTargetExact:
     def test_triangle_k1(self):
-        target = sgns_target_exact(triangle(), window=1, k=1, zero_policy="floor")
+        target = sgns_target_exact(walk_probability_matrix(triangle(), 1),
+                                   stationary_distribution(triangle()), k=1, zero_policy="floor")
         off = target.values[~np.eye(3, dtype=bool)]
         assert np.allclose(off, math.log(1.5), atol=1e-12)
 
     def test_regular_graph_reduces_to_log_n_p(self):
         g = cycle(6)
         p = walk_probability_matrix(g, 3).probs
-        target = sgns_target_exact(g, window=3, k=1, zero_policy="mask")
+        target = sgns_target_exact(walk_probability_matrix(g, 3),
+                                   stationary_distribution(g), k=1, zero_policy="mask")
         positive = p > 0
         assert np.allclose(target.values[positive], np.log(6 * p[positive]), atol=1e-12)
 
     def test_k2_with_shift_two(self):
-        target = sgns_target_exact(k2(), window=1, k=2, zero_policy="truncate")
+        target = sgns_target_exact(walk_probability_matrix(k2(), 1),
+                                   stationary_distribution(k2()), k=2, zero_policy="truncate")
         assert np.allclose(target.values[[0, 1], [1, 0]], 0.0, atol=1e-12)
 
     def test_counts_limit_approaches_exact(self):
         g = triangle()
         counts = sample_counts(g, SamplerConfig(window=2, centers=200_000, seed=13))
         sampled = sgns_target_from_counts(counts, k=1, zero_policy="mask")
-        exact = sgns_target_exact(g, window=2, k=1, zero_policy="mask")
+        exact = sgns_target_exact(walk_probability_matrix(g, 2),
+                                  stationary_distribution(g), k=1, zero_policy="mask")
         p = walk_probability_matrix(g, 2).probs
         keep = p >= 0.01
         diff = np.abs(sampled.values - exact.values)[keep]
@@ -217,7 +222,8 @@ class TestSgnsTargetExact:
         g = random_connected_graph(8, 311, extra_edges=8, min_degree=2)
         counts = sample_counts(g, SamplerConfig(window=3, centers=1_000_000, seed=19))
         sampled = sgns_target_from_counts(counts, k=2, zero_policy="mask")
-        exact = sgns_target_exact(g, window=3, k=2, zero_policy="mask")
+        exact = sgns_target_exact(walk_probability_matrix(g, 3),
+                                  stationary_distribution(g), k=2, zero_policy="mask")
         keep = walk_probability_matrix(g, 3).probs >= 0.01
         diff = np.abs(sampled.values - exact.values)[keep]
         assert np.nanmax(diff) < 0.05
