@@ -506,6 +506,11 @@ def main(argv=None) -> int:
             json.JSONDecodeError) as exc:
         print(f"walkmf: error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:
+        # An input whose sizes cannot fit (NumPy's message names the
+        # allocation that failed) is a data error, not a crash.
+        print(f"walkmf: error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return EXIT_DATA
 
 
 def entrypoint() -> None:

@@ -24,6 +24,7 @@ from .graphs import Graph, require_connected, stationary_distribution
 START_MODES = ("stationary", "uniform", "fixed")
 
 DIRECTED_DEFAULT_BURN_IN = 1000
+_WALK_BLOCK = 1 << 16  # walk steps per block of uniforms
 
 
 @dataclass(frozen=True)
@@ -180,16 +181,18 @@ def generate_walk(g: Graph, cfg: SamplerConfig) -> Walk:
     start = _draw_start(g, cfg, rng)
 
     length = cfg.burn_in + cfg.centers + cfg.window
-    steps = length - 1
-    # Python lists and pre-drawn uniforms keep the hot loop free of NumPy
-    # scalar indexing and per-step RNG calls.
+    # Python lists and uniforms drawn a block at a time keep the hot loop
+    # free of NumPy scalar indexing and per-step RNG calls; successive
+    # rng.random blocks are the same stream as one draw for every step.
     indptr, indices, degrees = g.indptr.tolist(), g.indices.tolist(), g.degrees.tolist()
-    u = rng.random(steps).tolist()
     walk = np.empty(length, dtype=np.int64)
     walk[0] = cur = start
-    for i in range(steps):
-        cur = indices[indptr[cur] + int(u[i] * degrees[cur])]
-        walk[i + 1] = cur
+    for lo in range(1, length, _WALK_BLOCK):
+        block = []
+        for u in rng.random(min(_WALK_BLOCK, length - lo)).tolist():
+            cur = indices[indptr[cur] + int(u * degrees[cur])]
+            block.append(cur)
+        walk[lo:lo + len(block)] = block
     return Walk(nodes=walk, n=g.n, seed=cfg.seed)
 
 

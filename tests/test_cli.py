@@ -95,6 +95,19 @@ class TestExact:
         assert code == 2
         assert "duplicate" in capsys.readouterr().err
 
+    def test_node_id_too_large_to_allocate_exits_2(self, tmp_path, capsys):
+        # n is 1 + the largest id, so the arrays sized by n cannot be
+        # allocated. 10**18 int64s (8 EB) exceed any address space, so the
+        # allocation fails on every machine instead of being overcommitted.
+        bad = tmp_path / "huge.edges"
+        bad.write_text(f"0 {10**18}\n")
+        code = main(["exact", "-i", str(bad), "-t", "2", "-o", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("walkmf: error: out of memory:")
+        assert "EiB" in err  # names the size that could not be allocated
+        assert "Traceback" not in err
+
     def test_sgns_target_variant(self, tmp_path, path_graph_file):
         out = tmp_path / "out"
         code = main(["exact", "-i", str(path_graph_file), "-t", "2", "--target", "sgns",

@@ -86,6 +86,27 @@ class TestGenerateWalk:
         chi2 = sum((obs - expected) ** 2 / expected for obs in hits.values())
         assert chi2 < CHI2_1DOF_P001
 
+    def test_matches_one_step_at_a_time_reference(self):
+        # The walk draws its uniforms in blocks; a walk spanning more than
+        # three blocks must equal one uniform per step from the same stream,
+        # each picking among the sorted neighbours taken from the edge list.
+        g = random_connected_graph(12, seed=5, extra_edges=10)
+        neighbours = [[] for _ in range(g.n)]
+        for u, v in g.edges:
+            neighbours[u].append(v)
+            neighbours[v].append(u)
+        neighbours = [sorted(row) for row in neighbours]
+        cfg = SamplerConfig(window=2, centers=3 * (1 << 16) + 1234, seed=17,
+                            start_mode="fixed", start_node=4)
+        rng = np.random.default_rng(cfg.seed)
+        cur = cfg.start_node
+        expected = [cur]
+        for _ in range(cfg.centers + cfg.window - 1):
+            row = neighbours[cur]
+            cur = row[int(rng.random() * len(row))]
+            expected.append(cur)
+        assert generate_walk(g, cfg).nodes.tolist() == expected
+
     @settings(deadline=None, max_examples=30)
     @given(st.integers(0, 10**6), st.integers(2, 10), st.integers(1, 3))
     def test_every_consecutive_pair_is_an_edge(self, seed, n, window):

@@ -16,6 +16,7 @@ from walkmf import (
     sgns_objective_upper_bound,
     train_sgns,
 )
+from walkmf import sgns
 
 
 def _log_sigmoid(x):
@@ -211,6 +212,95 @@ class TestTrainSgns:
                         / np.outer(counts.node_counts, counts.context_counts)) - math.log(k)
         error = np.mean(np.abs(dot_matrix(result.embeddings) - target))
         assert error <= 0.1
+
+
+def _uniform_off_diagonal_counts(n):
+    return CooccurrenceCounts.from_matrix(np.ones((n, n), dtype=np.int64)
+                                          - np.eye(n, dtype=np.int64))
+
+
+def _random_symmetric_counts(n=40, seed=2):
+    mat = np.random.default_rng(seed).integers(1, 6, size=(n, n))
+    return CooccurrenceCounts.from_matrix(mat + mat.T)
+
+
+def _star_counts(leaves=9, per_pair=20):
+    # Node 0 is the hub: it is the context of half of all pairs, so it
+    # holds half the noise mass.
+    mat = np.zeros((leaves + 1, leaves + 1), dtype=np.int64)
+    mat[0, 1:] = mat[1:, 0] = per_pair
+    return CooccurrenceCounts.from_matrix(mat)
+
+
+class TestBatchSize:
+    @pytest.mark.parametrize("counts, k, expected", [
+        # uniform off-diagonal counts on n = 40: every row carries 1/40 of
+        # the pairs, so (1 + k) / 40 updates per positive on the busiest row
+        (_uniform_off_diagonal_counts(40), 1, 20),
+        (_uniform_off_diagonal_counts(40), 3, 10),
+        (_uniform_k3_counts(), 1, 1),
+        (_star_counts(), 1, 1),
+    ])
+    def test_largest_batch_with_at_most_one_expected_update_per_row(self, counts, k, expected):
+        assert sgns.batch_size(counts, k) == expected
+
+    def test_center_rows_can_set_the_cap(self):
+        # All pairs have center 0 and their contexts spread over 8 nodes,
+        # so the center row is touched on every positive.
+        mat = np.zeros((9, 9), dtype=np.int64)
+        mat[0, 1:] = 5
+        assert sgns.batch_size(CooccurrenceCounts.from_matrix(mat), 1) == 1
+
+
+class TestBatchedTraining:
+    def test_batches_above_one_still_ascend_and_converge(self):
+        # d = n and every count positive, so the dot products can reach
+        # PMI - log k entrywise; the derived batch applies 17 positives at once.
+        counts = _random_symmetric_counts()
+        k = 1
+        cfg = TrainConfig(dim=40, negatives=k, epochs=40, learning_rate=0.05, seed=3)
+        assert sgns.batch_size(counts, k) > 1
+        result = train_sgns(counts, cfg)
+        history = result.objective_per_epoch
+        for before, after in zip(history, history[1:]):
+            assert after >= before - 1e-3 * abs(before)
+        target = np.log(counts.dense * counts.total
+                        / np.outer(counts.node_counts, counts.context_counts)) - math.log(k)
+        assert np.mean(np.abs(target)) > 0.25  # what the near-zero initial dots miss by
+        assert np.mean(np.abs(dot_matrix(result.embeddings) - target)) <= 0.15
+
+    def test_batches_above_one_same_seed_bitwise_identical(self):
+        counts = _random_symmetric_counts()
+        cfg = TrainConfig(dim=8, negatives=2, epochs=2, learning_rate=0.05, seed=9)
+        assert sgns.batch_size(counts, cfg.negatives) > 1
+        first = train_sgns(counts, cfg)
+        second = train_sgns(counts, cfg)
+        assert np.array_equal(first.embeddings.w, second.embeddings.w)
+        assert np.array_equal(first.embeddings.h, second.embeddings.h)
+        assert first.objective_per_epoch == second.objective_per_epoch
+
+    def test_batched_run_tracks_one_positive_at_a_time(self, monkeypatch):
+        # The same draws applied with the derived batch and with B = 1 give
+        # the same objective trajectory to within the ascent tolerance.
+        counts = _random_symmetric_counts()
+        cfg = TrainConfig(dim=8, negatives=1, epochs=3, learning_rate=0.05, seed=4)
+        batched = train_sgns(counts, cfg).objective_per_epoch
+        monkeypatch.setattr(sgns, "batch_size", lambda counts, negatives: 1)
+        sequential = train_sgns(counts, cfg).objective_per_epoch
+        assert batched[0] == sequential[0]
+        for a, b in zip(batched[1:], sequential[1:]):
+            assert abs(a - b) <= 1e-3 * abs(b)
+
+    def test_hub_heavy_counts_fall_back_to_single_positives(self):
+        counts = _star_counts()
+        k = 2
+        cfg = TrainConfig(dim=4, negatives=k, epochs=20, learning_rate=0.05, seed=6)
+        assert sgns.batch_size(counts, k) == 1
+        result = train_sgns(counts, cfg)
+        assert np.all(np.isfinite(result.embeddings.w))
+        assert np.all(np.isfinite(result.embeddings.h))
+        assert result.final_objective > result.objective_per_epoch[0]
+        assert result.final_objective <= sgns_objective_upper_bound(counts, k) + 1e-6
 
 
 class TestDotMatrix:
