@@ -1,3 +1,4 @@
 from .cli import entrypoint
 
-entrypoint()
+if __name__ == "__main__":
+    entrypoint()

@@ -41,7 +41,7 @@ from .sampling import (
     write_counts_csv,
     write_counts_sidecar,
 )
-from .sgns import TrainConfig, dot_matrix, train_sgns
+from .sgns import TrainConfig, dot_matrix, sgns_objective_upper_bound, train_sgns
 from .targets import (
     compare_matrices,
     sgns_target_exact,
@@ -260,10 +260,13 @@ def run_train(config: dict, out_dir: Path) -> list[str]:
 
     reference = sgns_target_from_counts(counts, k=cfg.negatives, zero_policy="mask")
     comparison = compare_matrices(dot_matrix(result.embeddings), reference.values)
+    upper_bound = sgns_objective_upper_bound(counts, cfg.negatives)
     report = {
         "dot_vs_shifted_pmi": comparison.to_dict(),
         "final_objective": result.final_objective,
         "negatives": cfg.negatives,
+        "objective_gap": (upper_bound - result.final_objective) / abs(upper_bound),
+        "upper_bound": upper_bound,
     }
     with open(out_dir / "comparison.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

@@ -5,6 +5,9 @@ negatives from the context-frequency noise distribution, so the stochastic
 updates optimize the same objective that `sgns_objective` evaluates exactly
 (the count-weighted expectation form). Keeping the exact evaluation separate
 from the sampled optimization lets tests measure ascent without SGD noise.
+Every term of that objective is weighted by #(v,c) or k #(v) #(c)/|D|, so
+it runs over observed centers x observed contexts only: its cost scales
+with the nodes the counts saw, not with n^2.
 
 The updates are vectorized: `train_sgns` applies its draws B consecutive
 positives at a time, one gather, one batch of dot products and one summed
@@ -86,35 +89,51 @@ def _log_sigmoid(x: np.ndarray) -> np.ndarray:
     return -np.logaddexp(0.0, -x)
 
 
-def _weight_matrices(counts: CooccurrenceCounts, negatives: int) -> tuple[np.ndarray, np.ndarray]:
-    pos = counts.dense.astype(float)
-    neg = negatives * np.outer(counts.node_counts, counts.context_counts) / counts.total
+def _weights(counts: CooccurrenceCounts, negatives: int, v: np.ndarray,
+             c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weights #(v,c) and k #(v) #(c)/|D| at the index arrays v and c,
+    which broadcast against each other."""
+    if counts.total == 0:
+        raise ValueError("counts are empty")
+    pos = counts.dense[v, c].astype(float)
+    neg = negatives * counts.node_counts[v] * counts.context_counts[c] / counts.total
     return pos, neg
 
 
 def sgns_objective(counts: CooccurrenceCounts, pair: EmbeddingPair, negatives: int) -> float:
     """Exact expectation form of the objective (no sampling):
 
-    sum over all (v, c) of #(v,c) log sigma(x) + k #(v) #(c)/|D| log sigma(-x)
-    with x the (v, c) dot product.
+    sum over (v, c) of #(v,c) log sigma(x) + k #(v) #(c)/|D| log sigma(-x)
+    with x the (v, c) dot product. Both weights vanish unless #(v) > 0 and
+    #(c) > 0, so the sum runs over observed centers x observed contexts
+    only, and log sigma(-x) = log sigma(x) - x takes one log-sigmoid per term.
     """
     if pair.w.shape[0] != counts.n or pair.h.shape[0] != counts.n:
         raise ValueError(
             f"embeddings cover {pair.w.shape[0]}/{pair.h.shape[0]} nodes, counts cover {counts.n}"
         )
-    pos, neg = _weight_matrices(counts, negatives)
-    x = pair.w @ pair.h.T
-    return float(np.sum(pos * _log_sigmoid(x) + neg * _log_sigmoid(-x)))
+    rows = np.flatnonzero(counts.node_counts)
+    cols = np.flatnonzero(counts.context_counts)
+    pos, neg = _weights(counts, negatives, rows[:, None], cols)
+    x = pair.w[rows] @ pair.h[cols].T
+    return float(np.sum((pos + neg) * _log_sigmoid(x) - neg * x))
 
 
 def sgns_objective_gradient(counts: CooccurrenceCounts, pair: EmbeddingPair,
                             negatives: int) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient of sgns_objective with respect to (w, h)."""
-    pos, neg = _weight_matrices(counts, negatives)
-    x = pair.w @ pair.h.T
-    sig = np.exp(_log_sigmoid(x))
+    """Analytic gradient of sgns_objective with respect to (w, h); rows of
+    nodes the counts never observed are zero."""
+    rows = np.flatnonzero(counts.node_counts)
+    cols = np.flatnonzero(counts.context_counts)
+    pos, neg = _weights(counts, negatives, rows[:, None], cols)
+    w, h = pair.w[rows], pair.h[cols]
+    sig = np.exp(_log_sigmoid(w @ h.T))
     residual = pos * (1.0 - sig) - neg * sig
-    return residual @ pair.h, residual.T @ pair.w
+    grad_w = np.zeros(pair.w.shape)
+    grad_h = np.zeros(pair.h.shape)
+    grad_w[rows] = residual @ h
+    grad_h[cols] = residual.T @ w
+    return grad_w, grad_h
 
 
 def sgns_objective_upper_bound(counts: CooccurrenceCounts, negatives: int) -> float:
@@ -122,12 +141,11 @@ def sgns_objective_upper_bound(counts: CooccurrenceCounts, negatives: int) -> fl
 
     For each pair with a positive count the scalar term peaks at
     x* = log(#(v,c) |D| / (k #(v) #(c))); zero-count pairs approach 0 from
-    below as x -> -inf.
+    below as x -> -inf, so only the nonzero pairs are visited.
     """
-    pos, neg = _weight_matrices(counts, negatives)
-    hit = pos > 0
-    x_star = np.log(pos[hit] / neg[hit])
-    return float(np.sum(pos[hit] * _log_sigmoid(x_star) + neg[hit] * _log_sigmoid(-x_star)))
+    pos, neg = _weights(counts, negatives, *np.nonzero(counts.dense))
+    x_star = np.log(pos / neg)
+    return float(np.sum(pos * _log_sigmoid(x_star) + neg * _log_sigmoid(-x_star)))
 
 
 def dot_matrix(pair: EmbeddingPair) -> np.ndarray:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,6 +350,22 @@ class TestTrain:
             blobs.append(_output_bytes(out))
         assert blobs[0] == blobs[1]
 
+    def test_report_carries_the_upper_bound_and_the_gap_to_it(self, tmp_path, k3_counts_files):
+        out = tmp_path / "out"
+        assert main(["train", "--counts", str(k3_counts_files), "-d", "2", "-k", "1",
+                     "--epochs", "3", "--seed", "5", "-o", str(out)]) == 0
+        report = json.loads((out / "comparison.json").read_text())
+        # k3 counts: every pair has #(v,c) = 100, #(v) = #(c) = 200, |D| = 600,
+        # so x* = log 1.5 and each of the 6 pairs peaks at
+        # 100 log s(x*) + (200/3) log s(-x*).
+        x_star = math.log(1.5)
+        expected = 6 * (-100 * math.log1p(math.exp(-x_star))
+                        - 200 / 3 * math.log1p(math.exp(x_star)))
+        assert report["upper_bound"] == pytest.approx(expected, rel=1e-12)
+        gap = (report["upper_bound"] - report["final_objective"]) / abs(report["upper_bound"])
+        assert report["objective_gap"] == gap
+        assert report["objective_gap"] >= 0
+
 
 class TestManifests:
     def _run_each_command(self, tmp_path, graph_file):
@@ -435,3 +455,23 @@ class TestUsageErrors:
         code = main(["exact", "-i", str(tmp_path / "nope.edges"), "-o", str(tmp_path / "o")])
         assert code == 2
         assert "not found" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    def _run_python(self, *args):
+        src = Path(walkmf.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              text=True, timeout=60)
+
+    def test_importing_main_module_runs_nothing(self):
+        proc = self._run_python("-c", "import walkmf.__main__")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout == ""
+
+    def test_python_m_walkmf_still_runs_the_cli(self):
+        proc = self._run_python("-m", "walkmf", "--version")
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == f"walkmf {walkmf.__version__}"

@@ -124,6 +124,85 @@ class TestObjectiveGradient:
         assert np.allclose(grad_h, fd_h, rtol=1e-5, atol=1e-6)
 
 
+def _dense_weights(counts, k):
+    pos = counts.dense.astype(float)
+    neg = k * np.outer(counts.node_counts, counts.context_counts) / counts.total
+    return pos, neg
+
+
+def _dense_objective(counts, pair, k):
+    """Reference: every one of the n^2 terms, with two log-sigmoids each."""
+    pos, neg = _dense_weights(counts, k)
+    x = pair.w @ pair.h.T
+    return float(np.sum(pos * _log_sigmoid(x) + neg * _log_sigmoid(-x)))
+
+
+def _dense_gradient(counts, pair, k):
+    pos, neg = _dense_weights(counts, k)
+    sig = np.exp(_log_sigmoid(pair.w @ pair.h.T))
+    residual = pos * (1.0 - sig) - neg * sig
+    return residual @ pair.h, residual.T @ pair.w
+
+
+def _dense_upper_bound(counts, k):
+    pos, neg = _dense_weights(counts, k)
+    hit = pos > 0
+    x_star = np.log(pos[hit] / neg[hit])
+    return float(np.sum(pos[hit] * _log_sigmoid(x_star) + neg[hit] * _log_sigmoid(-x_star)))
+
+
+def _partly_observed_counts(rng, n):
+    """Random counts in which some centers and some other contexts were
+    never observed (all-zero rows, and all-zero columns elsewhere)."""
+    mat = rng.integers(0, 40, size=(n, n))
+    nodes = rng.permutation(n)
+    mat[nodes[:2], :] = 0
+    mat[:, nodes[2:5]] = 0
+    return CooccurrenceCounts.from_matrix(mat), nodes[:2], nodes[2:5]
+
+
+class TestObservedSupport:
+    @pytest.mark.parametrize("seed, n, d, k", [(0, 9, 2, 1), (1, 12, 3, 5), (2, 20, 8, 3)])
+    def test_matches_the_dense_formulas(self, seed, n, d, k):
+        rng = np.random.default_rng(seed)
+        counts, unseen_rows, unseen_cols = _partly_observed_counts(rng, n)
+        pair = _random_pair(rng, n, d)
+
+        value, reference = sgns_objective(counts, pair, k), _dense_objective(counts, pair, k)
+        assert abs(value - reference) <= 1e-12 * abs(reference)
+
+        grad_w, grad_h = sgns_objective_gradient(counts, pair, k)
+        ref_w, ref_h = _dense_gradient(counts, pair, k)
+        assert np.abs(grad_w - ref_w).max() <= 1e-12
+        assert np.abs(grad_h - ref_h).max() <= 1e-12
+        for grad in (grad_w[unseen_rows], ref_w[unseen_rows], grad_h[unseen_cols], ref_h[unseen_cols]):
+            assert np.all(grad == 0.0)
+
+        bound, ref_bound = sgns_objective_upper_bound(counts, k), _dense_upper_bound(counts, k)
+        assert abs(bound - ref_bound) <= 1e-12 * abs(ref_bound)
+
+    def test_unobserved_rows_do_not_enter_the_objective(self):
+        rng = np.random.default_rng(3)
+        counts, unseen_rows, unseen_cols = _partly_observed_counts(rng, 10)
+        pair = _random_pair(rng, 10, 4)
+        w, h = pair.w.copy(), pair.h.copy()
+        w[unseen_rows] = rng.normal(scale=50.0, size=(len(unseen_rows), 4))
+        h[unseen_cols] = rng.normal(scale=50.0, size=(len(unseen_cols), 4))
+        perturbed = EmbeddingPair(w=w, h=h)
+        assert sgns_objective(counts, perturbed, 2) == sgns_objective(counts, pair, 2)
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda counts, pair: sgns_objective(counts, pair, 1),
+        lambda counts, pair: sgns_objective_gradient(counts, pair, 1),
+        lambda counts, pair: sgns_objective_upper_bound(counts, 1),
+    ], ids=["objective", "gradient", "upper_bound"])
+    def test_empty_counts_rejected(self, evaluate):
+        counts = CooccurrenceCounts.from_matrix(np.zeros((3, 3), dtype=np.int64))
+        pair = EmbeddingPair(w=np.zeros((3, 2)), h=np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="counts are empty"):
+            evaluate(counts, pair)
+
+
 class TestScalarCriticalPoint:
     def test_shifted_pmi_is_the_per_pair_maximum(self):
         # l(x) = C log sigma(x) + N log sigma(-x) peaks at x* = log(C/N),
