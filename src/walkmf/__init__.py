@@ -60,7 +60,7 @@ from .sgns import (
     TrainConfig,
     TrainResult,
     dot_matrix,
-    noise_distribution,
+    dot_vs_shifted_pmi,
     sgns_objective,
     sgns_objective_gradient,
     sgns_objective_upper_bound,

@@ -41,7 +41,13 @@ from .sampling import (
     write_counts_csv,
     write_counts_sidecar,
 )
-from .sgns import TrainConfig, dot_matrix, sgns_objective_upper_bound, train_sgns
+from .sgns import (
+    STEPS_PER_EPOCH,
+    TrainConfig,
+    dot_vs_shifted_pmi,
+    sgns_objective_upper_bound,
+    train_sgns,
+)
 from .targets import (
     compare_matrices,
     sgns_target_exact,
@@ -258,14 +264,14 @@ def run_train(config: dict, out_dir: Path) -> list[str]:
         for epoch, value in enumerate(result.objective_per_epoch):
             writer.writerow([epoch, "%.17g" % value])
 
-    reference = sgns_target_from_counts(counts, k=cfg.negatives, zero_policy="mask")
-    comparison = compare_matrices(dot_matrix(result.embeddings), reference.values)
+    comparison = dot_vs_shifted_pmi(counts, result.embeddings, cfg.negatives)
     upper_bound = sgns_objective_upper_bound(counts, cfg.negatives)
     report = {
         "dot_vs_shifted_pmi": comparison.to_dict(),
         "final_objective": result.final_objective,
         "negatives": cfg.negatives,
         "objective_gap": (upper_bound - result.final_objective) / abs(upper_bound),
+        "steps": cfg.epochs * STEPS_PER_EPOCH,
         "upper_bound": upper_bound,
     }
     with open(out_dir / "comparison.json", "w", encoding="utf-8") as fh:
@@ -407,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", "-d", type=_positive_int, default=DEFAULT_DIM)
     p.add_argument("--negative", "-k", type=_positive_int, default=DEFAULT_NEGATIVES)
     p.add_argument("--epochs", type=_nonnegative_int, default=5)
-    p.add_argument("--lr", type=_positive_float, default=0.025)
+    p.add_argument("--lr", type=_positive_float, default=0.1,
+                   help="initial Adam step size, decayed linearly")
     p.add_argument("--init-scale", type=_positive_float, default=None)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out-dir", "-o", required=True)

@@ -1,33 +1,38 @@
-"""Skip-gram negative-sampling trainer over aggregated pair counts.
+"""Skip-gram negative-sampling embeddings trained on aggregated pair counts.
 
-Positives are drawn with probability proportional to their counts and
-negatives from the context-frequency noise distribution, so the stochastic
-updates optimize the same objective that `sgns_objective` evaluates exactly
-(the count-weighted expectation form). Keeping the exact evaluation separate
-from the sampled optimization lets tests measure ascent without SGD noise.
-Every term of that objective is weighted by #(v,c) or k #(v) #(c)/|D|, so
-it runs over observed centers x observed contexts only: its cost scales
-with the nodes the counts saw, not with n^2.
+The objective is the count-weighted expectation form of SGNS, which
+`sgns_objective` evaluates exactly:
 
-The updates are vectorized: `train_sgns` applies its draws B consecutive
-positives at a time, one gather, one batch of dot products and one summed
-scatter per batch. B is not a setting; `batch_size` derives it from the
-counts as the largest batch in which the most-touched embedding row expects
-at most one update, so updates within a batch seldom collide.
+    sum over (v, c) of #(v,c) log sigma(x) + k #(v) #(c)/|D| log sigma(-x)
+
+with x the (v, c) dot product. Each term with #(v,c) > 0 peaks at the
+shifted PMI x* = log(#(v,c) |D| / (k #(v) #(c))), so near the optimum the
+dot products factorize the shifted PMI matrix of the counts. Every term is
+weighted by #(v,c) or k #(v) #(c)/|D|, so the objective, its gradient and
+training run over observed centers x observed contexts only: their cost
+scales with the nodes the counts saw, not with n^2.
+
+`train_sgns` maximizes that objective directly, by deterministic
+full-batch Adam on the observed block. It does not replay word2vec's
+sampled updates; it optimizes the objective those updates estimate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .factorization import EmbeddingPair
 from .sampling import CooccurrenceCounts
+from .targets import ComparisonReport, compare_matrices
 
 LR_FLOOR_RATIO = 1e-4  # linear decay ends at this fraction of the initial rate
-_DRAW_CHUNK = 1 << 16
+STEPS_PER_EPOCH = 40  # full-batch steps between two objective log entries
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
@@ -35,7 +40,7 @@ class TrainConfig:
     dim: int
     negatives: int = 5
     epochs: int = 5
-    learning_rate: float = 0.025
+    learning_rate: float = 0.1
     seed: int = 0
     init_scale: Optional[float] = None  # defaults to 0.5/dim
 
@@ -78,15 +83,14 @@ class TrainResult:
         return self.objective_per_epoch[-1]
 
 
-def noise_distribution(counts: CooccurrenceCounts) -> np.ndarray:
-    """Context sampling law for negatives: #(c)/|D|."""
-    if counts.total == 0:
-        raise ValueError("counts are empty")
-    return counts.context_counts / counts.total
-
-
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:
     return -np.logaddexp(0.0, -x)
+
+
+def _observed(counts: CooccurrenceCounts) -> tuple[np.ndarray, np.ndarray]:
+    """Observed centers and observed contexts. Both weights of a term vanish
+    unless #(v) > 0 and #(c) > 0, so every term that counts lies in this block."""
+    return np.flatnonzero(counts.node_counts), np.flatnonzero(counts.context_counts)
 
 
 def _weights(counts: CooccurrenceCounts, negatives: int, v: np.ndarray,
@@ -100,20 +104,40 @@ def _weights(counts: CooccurrenceCounts, negatives: int, v: np.ndarray,
     return pos, neg
 
 
-def sgns_objective(counts: CooccurrenceCounts, pair: EmbeddingPair, negatives: int) -> float:
-    """Exact expectation form of the objective (no sampling):
+def _residual(pos: np.ndarray, weight: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Overwrite x with pos - weight sigma(x), the derivative in x of
+    pos log sigma(x) + neg log sigma(-x) for weight = pos + neg.
 
-    sum over (v, c) of #(v,c) log sigma(x) + k #(v) #(c)/|D| log sigma(-x)
-    with x the (v, c) dot product. Both weights vanish unless #(v) > 0 and
-    #(c) > 0, so the sum runs over observed centers x observed contexts
-    only, and log sigma(-x) = log sigma(x) - x takes one log-sigmoid per term.
+    sigma(x) = (1 + tanh(x/2))/2 cannot overflow and costs half as much as
+    exp(log sigma(x)); working in place spares a fresh block-sized array per
+    operation, which the trainer would pay on every step.
     """
+    x *= 0.5
+    np.tanh(x, out=x)
+    x += 1.0
+    x *= weight
+    x *= 0.5
+    return np.subtract(pos, x, out=x)
+
+
+def _nonzero_optimum(counts: CooccurrenceCounts, negatives: int) -> tuple[np.ndarray, ...]:
+    """The nonzero pairs (v, c), their weights, and the dot product at which
+    each pair's term peaks: x* = log(#(v,c) |D| / (k #(v) #(c))), the
+    shifted PMI."""
+    v, c = np.nonzero(counts.dense)
+    pos, neg = _weights(counts, negatives, v, c)
+    return v, c, pos, neg, np.log(pos / neg)
+
+
+def sgns_objective(counts: CooccurrenceCounts, pair: EmbeddingPair, negatives: int) -> float:
+    """The module's objective, evaluated exactly (no sampling) over observed
+    centers x observed contexts; log sigma(-x) = log sigma(x) - x takes one
+    log-sigmoid per term."""
     if pair.w.shape[0] != counts.n or pair.h.shape[0] != counts.n:
         raise ValueError(
             f"embeddings cover {pair.w.shape[0]}/{pair.h.shape[0]} nodes, counts cover {counts.n}"
         )
-    rows = np.flatnonzero(counts.node_counts)
-    cols = np.flatnonzero(counts.context_counts)
+    rows, cols = _observed(counts)
     pos, neg = _weights(counts, negatives, rows[:, None], cols)
     x = pair.w[rows] @ pair.h[cols].T
     return float(np.sum((pos + neg) * _log_sigmoid(x) - neg * x))
@@ -123,12 +147,10 @@ def sgns_objective_gradient(counts: CooccurrenceCounts, pair: EmbeddingPair,
                             negatives: int) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient of sgns_objective with respect to (w, h); rows of
     nodes the counts never observed are zero."""
-    rows = np.flatnonzero(counts.node_counts)
-    cols = np.flatnonzero(counts.context_counts)
+    rows, cols = _observed(counts)
     pos, neg = _weights(counts, negatives, rows[:, None], cols)
     w, h = pair.w[rows], pair.h[cols]
-    sig = np.exp(_log_sigmoid(w @ h.T))
-    residual = pos * (1.0 - sig) - neg * sig
+    residual = _residual(pos, pos + neg, w @ h.T)
     grad_w = np.zeros(pair.w.shape)
     grad_h = np.zeros(pair.h.shape)
     grad_w[rows] = residual @ h
@@ -143,9 +165,22 @@ def sgns_objective_upper_bound(counts: CooccurrenceCounts, negatives: int) -> fl
     x* = log(#(v,c) |D| / (k #(v) #(c))); zero-count pairs approach 0 from
     below as x -> -inf, so only the nonzero pairs are visited.
     """
-    pos, neg = _weights(counts, negatives, *np.nonzero(counts.dense))
-    x_star = np.log(pos / neg)
+    _, _, pos, neg, x_star = _nonzero_optimum(counts, negatives)
     return float(np.sum(pos * _log_sigmoid(x_star) + neg * _log_sigmoid(-x_star)))
+
+
+def dot_vs_shifted_pmi(counts: CooccurrenceCounts, pair: EmbeddingPair,
+                       negatives: int) -> ComparisonReport:
+    """Dot products against the shifted PMI over the nonzero pairs, the
+    entries where it is finite; `excluded` counts the other n^2 - compared."""
+    v, c, _, _, x_star = _nonzero_optimum(counts, negatives)
+    # Every nonzero pair lies in the observed block, whose dot products take
+    # at most n^2 floats; gathering two d-vectors per pair can take far more.
+    rows, cols = _observed(counts)
+    block = pair.w[rows] @ pair.h[cols].T
+    dots = block[np.searchsorted(rows, v), np.searchsorted(cols, c)]
+    report = compare_matrices(dots, x_star)
+    return replace(report, excluded=counts.n * counts.n - report.compared)
 
 
 def dot_matrix(pair: EmbeddingPair) -> np.ndarray:
@@ -153,90 +188,50 @@ def dot_matrix(pair: EmbeddingPair) -> np.ndarray:
     return pair.w @ pair.h.T
 
 
-def batch_size(counts: CooccurrenceCounts, negatives: int) -> int:
-    """Positives per batch: the largest B at which the most-touched row
-    expects at most one update within a batch.
-
-    Per positive, context row c is updated (1 + k) #(c)/|D| times in
-    expectation (once as the positive's context, k times as a noise draw)
-    and center row v #(v)/|D| times, so
-    B = max(1, floor(|D| / max((1 + k) max_c #(c), max_v #(v)))),
-    computed in integers.
-    """
-    if counts.total == 0:
-        raise ValueError("counts are empty")
-    busiest = max((1 + negatives) * int(counts.context_counts.max()),
-                  int(counts.node_counts.max()))
-    return max(1, counts.total // busiest)
-
-
 def train_sgns(counts: CooccurrenceCounts, cfg: TrainConfig) -> TrainResult:
-    """SGD on sampled positives and negatives; deterministic given cfg.seed.
+    """Full-batch Adam ascent on sgns_objective; deterministic given cfg.
 
-    One epoch draws |D| positive pairs (proportional to their counts) and k
-    negatives per positive from the noise distribution. The learning rate
-    decays linearly over all steps to LR_FLOOR_RATIO of its initial value,
-    and each positive keeps the rate of its own step.
-
-    The draws are applied `batch_size(counts, k)` consecutive positives at a
-    time: every gradient in a batch is taken at the embeddings as they stood
-    before it, and the row updates are summed into w and h, repeated rows
-    included. The batch is small enough that updates within it rarely share
-    a row, so the result tracks one-positive-at-a-time SGD; counts where one
-    row dominates get B = 1 through the same code. The exact objective is
-    recorded before training and after every epoch.
+    w and h start from the uniform initialization seeded by cfg.seed. Only
+    the rows of observed centers and observed contexts carry weight, so
+    only they are trained; the others keep their initial values. Each epoch
+    runs STEPS_PER_EPOCH steps of Adam (Kingma & Ba, arXiv:1412.6980) on
+    the exact gradient of that block. The step size decays linearly over
+    all steps from cfg.learning_rate to LR_FLOOR_RATIO of it. The exact
+    objective is recorded before training and after every epoch.
     """
     if counts.total == 0:
         raise ValueError("counts are empty")
-    n, d, k = counts.n, cfg.dim, cfg.negatives
+    n, k = counts.n, cfg.negatives
     rng = np.random.default_rng(cfg.seed)
     scale = cfg.resolved_init_scale
-    w = rng.uniform(-scale, scale, size=(n, d))
-    h = rng.uniform(-scale, scale, size=(n, d))
-    # One table holds w (rows 0..n-1) and h (rows n..2n-1), so a batch is
-    # one gather and one scatter.
-    table = np.concatenate((w, h))
-    pair = EmbeddingPair(w=table[:n], h=table[n:])
-    flat = table.reshape(-1)
-    cols = np.arange(d)
-
-    pos_v, pos_c = np.nonzero(counts.dense)  # the positives, in (v, c) order
-    pos_weight = counts.dense[pos_v, pos_c] / counts.total
-    noise = noise_distribution(counts)
-
+    w = rng.uniform(-scale, scale, size=(n, cfg.dim))
+    h = rng.uniform(-scale, scale, size=(n, cfg.dim))
+    pair = EmbeddingPair(w=w, h=h)
     history = [sgns_objective(counts, pair, k)]
 
-    steps_per_epoch = counts.total
-    total_steps = max(cfg.epochs * steps_per_epoch, 1)
-    lr0 = cfg.learning_rate
-    batch = batch_size(counts, k)
-    # label - sigmoid(x) = (label - 1/2) - tanh(x/2)/2, which cannot overflow;
-    # slot 0 holds the positive context (label 1), slots 1..k the negatives.
-    half_labels = np.full((k + 1, 1), -0.5)
-    half_labels[0] = 0.5
-    step = 0
-    for _ in range(cfg.epochs):
-        done = 0
-        while done < steps_per_epoch:
-            chunk = min(_DRAW_CHUNK, steps_per_epoch - done)
-            picks = rng.choice(len(pos_v), size=chunk, p=pos_weight)
-            negs = rng.choice(n, size=(chunk, k), p=noise)
-            rows = np.column_stack((pos_v[picks], n + pos_c[picks], n + negs))
-            rates = lr0 * np.maximum(1.0 - np.arange(step, step + chunk) / total_steps,
-                                     LR_FLOOR_RATIO)
-            rates = rates[:, None, None]
-            for lo in range(0, chunk, batch):
-                r = rows[lo:lo + batch]  # (B, k + 2): center, then targets
-                e = table[r]
-                wv, hc = e[:, :1], e[:, 1:]  # (B, 1, d), (B, k + 1, d)
-                x = np.matmul(hc, wv.transpose(0, 2, 1))  # (B, k + 1, 1)
-                g = (half_labels - 0.5 * np.tanh(0.5 * x)) * rates[lo:lo + batch]
-                update = np.concatenate((np.matmul(g.transpose(0, 2, 1), hc), g * wv), axis=1)
-                # A summed scatter: np.add.at over flat element indices is
-                # about three times faster than over rows.
-                np.add.at(flat, (r[..., None] * d + cols).ravel(), update.ravel())
-            step += chunk
-            done += chunk
-        history.append(sgns_objective(counts, pair, k))
+    rows, cols = _observed(counts)
+    pos, neg = _weights(counts, k, rows[:, None], cols)
+    weight = pos + neg
+    x = np.empty(weight.shape)  # the block's dot products, then its residual
+    block = (w[rows], h[cols])
+    first = tuple(np.zeros_like(b) for b in block)
+    second = tuple(np.zeros_like(b) for b in block)
+    total_steps = cfg.epochs * STEPS_PER_EPOCH
+    for step in range(total_steps):
+        wb, hb = block
+        residual = _residual(pos, weight, np.matmul(wb, hb.T, out=x))
+        grads = (residual @ hb, residual.T @ wb)
+        rate = cfg.learning_rate * max(1.0 - step / total_steps, LR_FLOOR_RATIO)
+        first_bias = 1.0 - ADAM_BETA1 ** (step + 1)
+        second_bias = 1.0 - ADAM_BETA2 ** (step + 1)
+        for b, g, m, s in zip(block, grads, first, second):
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            s *= ADAM_BETA2
+            s += (1.0 - ADAM_BETA2) * g * g
+            b += rate * (m / first_bias) / (np.sqrt(s / second_bias) + ADAM_EPSILON)
+        if (step + 1) % STEPS_PER_EPOCH == 0:
+            w[rows], h[cols] = block
+            history.append(sgns_objective(counts, pair, k))
 
     return TrainResult(embeddings=pair, objective_per_epoch=history)

@@ -19,6 +19,7 @@ from walkmf import (
 )
 from walkmf.cli import main
 from walkmf.factorization import read_embedding_matrix
+from walkmf.sgns import STEPS_PER_EPOCH
 from walkmf.targets import read_matrix_csv, read_vector_csv
 
 
@@ -365,6 +366,7 @@ class TestTrain:
         gap = (report["upper_bound"] - report["final_objective"]) / abs(report["upper_bound"])
         assert report["objective_gap"] == gap
         assert report["objective_gap"] >= 0
+        assert report["steps"] == 3 * STEPS_PER_EPOCH
 
 
 class TestManifests:

@@ -5,18 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphgen import random_connected_graph
 from walkmf import (
     CooccurrenceCounts,
     EmbeddingPair,
+    SamplerConfig,
     TrainConfig,
+    compare_matrices,
     dot_matrix,
-    noise_distribution,
+    dot_vs_shifted_pmi,
+    sample_counts,
     sgns_objective,
     sgns_objective_gradient,
     sgns_objective_upper_bound,
+    sgns_target_from_counts,
     train_sgns,
 )
-from walkmf import sgns
 
 
 def _log_sigmoid(x):
@@ -41,17 +45,6 @@ def _random_counts(rng, n):
 def _random_pair(rng, n, d, scale=0.7):
     return EmbeddingPair(w=rng.normal(scale=scale, size=(n, d)),
                          h=rng.normal(scale=scale, size=(n, d)))
-
-
-class TestNoiseDistribution:
-    def test_matches_context_fraction_exactly(self):
-        counts = _uniform_k3_counts()
-        assert np.array_equal(noise_distribution(counts),
-                              counts.context_counts / counts.total)
-
-    def test_sums_to_one(self):
-        noise = noise_distribution(_k2_counts())
-        assert noise.sum() == 1.0
 
 
 class TestObjective:
@@ -228,76 +221,6 @@ class TestScalarCriticalPoint:
             assert ell(x_star) > ell(x_star - 0.1)
 
 
-class TestTrainSgns:
-    def test_objective_non_decreasing_across_epochs(self):
-        counts = _uniform_k3_counts()
-        cfg = TrainConfig(dim=3, negatives=2, epochs=8, learning_rate=0.05, seed=3)
-        result = train_sgns(counts, cfg)
-        history = result.objective_per_epoch
-        assert len(history) == cfg.epochs + 1
-        for before, after in zip(history, history[1:]):
-            assert after >= before - 1e-3 * abs(before)
-
-    def test_k3_dot_products_converge_to_shifted_pmi(self):
-        counts = _uniform_k3_counts()
-        cfg = TrainConfig(dim=3, negatives=1, epochs=100, learning_rate=0.05, seed=1)
-        result = train_sgns(counts, cfg)
-        dots = dot_matrix(result.embeddings)
-        off = dots[~np.eye(3, dtype=bool)]
-        assert np.mean(np.abs(off - math.log(1.5))) <= 0.1
-
-    def test_same_seed_bitwise_identical(self):
-        counts = _uniform_k3_counts()
-        cfg = TrainConfig(dim=2, negatives=2, epochs=3, learning_rate=0.05, seed=9)
-        first = train_sgns(counts, cfg)
-        second = train_sgns(counts, cfg)
-        assert np.array_equal(first.embeddings.w, second.embeddings.w)
-        assert np.array_equal(first.embeddings.h, second.embeddings.h)
-        assert first.objective_per_epoch == second.objective_per_epoch
-
-    def test_zero_epochs_returns_seeded_initialization(self):
-        counts = _uniform_k3_counts()
-        cfg = TrainConfig(dim=4, negatives=1, epochs=0, seed=42)
-        result = train_sgns(counts, cfg)
-        rng = np.random.default_rng(42)
-        scale = cfg.resolved_init_scale
-        assert np.array_equal(result.embeddings.w, rng.uniform(-scale, scale, size=(3, 4)))
-        assert np.array_equal(result.embeddings.h, rng.uniform(-scale, scale, size=(3, 4)))
-
-    def test_objective_never_exceeds_per_pair_bound(self):
-        counts = _uniform_k3_counts()
-        cfg = TrainConfig(dim=3, negatives=1, epochs=60, learning_rate=0.05, seed=7)
-        result = train_sgns(counts, cfg)
-        bound = sgns_objective_upper_bound(counts, 1)
-        assert result.final_objective <= bound + 1e-6
-
-    def test_empty_counts_rejected(self):
-        counts = CooccurrenceCounts.from_matrix(np.zeros((2, 2), dtype=np.int64))
-        with pytest.raises(ValueError, match="empty"):
-            train_sgns(counts, TrainConfig(dim=2))
-
-    def test_full_dimension_all_positive_counts_reach_closed_form(self):
-        # With d = n and every count positive, trained dot products approach
-        # PMI - log k entrywise.
-        rng = np.random.default_rng(2)
-        mat = rng.integers(20, 60, size=(4, 4))
-        mat = mat + mat.T  # symmetric, all positive
-        counts = CooccurrenceCounts.from_matrix(mat)
-        k = 1
-        cfg = TrainConfig(dim=4, negatives=k, epochs=150, learning_rate=0.05, seed=5)
-        result = train_sgns(counts, cfg)
-        joint = counts.dense.astype(float)
-        target = np.log(joint * counts.total
-                        / np.outer(counts.node_counts, counts.context_counts)) - math.log(k)
-        error = np.mean(np.abs(dot_matrix(result.embeddings) - target))
-        assert error <= 0.1
-
-
-def _uniform_off_diagonal_counts(n):
-    return CooccurrenceCounts.from_matrix(np.ones((n, n), dtype=np.int64)
-                                          - np.eye(n, dtype=np.int64))
-
-
 def _random_symmetric_counts(n=40, seed=2):
     mat = np.random.default_rng(seed).integers(1, 6, size=(n, n))
     return CooccurrenceCounts.from_matrix(mat + mat.T)
@@ -311,75 +234,126 @@ def _star_counts(leaves=9, per_pair=20):
     return CooccurrenceCounts.from_matrix(mat)
 
 
-class TestBatchSize:
-    @pytest.mark.parametrize("counts, k, expected", [
-        # uniform off-diagonal counts on n = 40: every row carries 1/40 of
-        # the pairs, so (1 + k) / 40 updates per positive on the busiest row
-        (_uniform_off_diagonal_counts(40), 1, 20),
-        (_uniform_off_diagonal_counts(40), 3, 10),
-        (_uniform_k3_counts(), 1, 1),
-        (_star_counts(), 1, 1),
-    ])
-    def test_largest_batch_with_at_most_one_expected_update_per_row(self, counts, k, expected):
-        assert sgns.batch_size(counts, k) == expected
-
-    def test_center_rows_can_set_the_cap(self):
-        # All pairs have center 0 and their contexts spread over 8 nodes,
-        # so the center row is touched on every positive.
-        mat = np.zeros((9, 9), dtype=np.int64)
-        mat[0, 1:] = 5
-        assert sgns.batch_size(CooccurrenceCounts.from_matrix(mat), 1) == 1
+def _mean_error_to_shifted_pmi(counts, pair, k):
+    """Mean |dot - (PMI - log k)| over the pairs with a nonzero count."""
+    v, c = np.nonzero(counts.dense)
+    target = np.log(counts.dense[v, c] * counts.total
+                    / (counts.node_counts[v] * counts.context_counts[c])) - math.log(k)
+    return np.mean(np.abs(dot_matrix(pair)[v, c] - target))
 
 
-class TestBatchedTraining:
-    def test_batches_above_one_still_ascend_and_converge(self):
-        # d = n and every count positive, so the dot products can reach
-        # PMI - log k entrywise; the derived batch applies 17 positives at once.
-        counts = _random_symmetric_counts()
-        k = 1
-        cfg = TrainConfig(dim=40, negatives=k, epochs=40, learning_rate=0.05, seed=3)
-        assert sgns.batch_size(counts, k) > 1
+class TestTrainSgns:
+    def test_objective_non_decreasing_across_epochs(self):
+        for counts, cfg in [
+            (_uniform_k3_counts(),
+             TrainConfig(dim=3, negatives=2, epochs=8, learning_rate=0.05, seed=3)),
+            (_random_symmetric_counts(),
+             TrainConfig(dim=40, negatives=1, epochs=40, learning_rate=0.05, seed=3)),
+        ]:
+            result = train_sgns(counts, cfg)
+            history = result.objective_per_epoch
+            assert len(history) == cfg.epochs + 1
+            for before, after in zip(history, history[1:]):
+                assert after >= before - 1e-3 * abs(before)
+
+    def test_k3_dot_products_converge_to_shifted_pmi(self):
+        counts = _uniform_k3_counts()
+        cfg = TrainConfig(dim=3, negatives=1, epochs=100, learning_rate=0.05, seed=1)
+        result = train_sgns(counts, cfg)
+        dots = dot_matrix(result.embeddings)
+        off = dots[~np.eye(3, dtype=bool)]
+        assert np.mean(np.abs(off - math.log(1.5))) <= 0.1
+
+    def test_same_seed_bitwise_identical(self):
+        for counts, cfg in [
+            (_uniform_k3_counts(),
+             TrainConfig(dim=2, negatives=2, epochs=3, learning_rate=0.05, seed=9)),
+            (_random_symmetric_counts(),
+             TrainConfig(dim=8, negatives=2, epochs=2, learning_rate=0.05, seed=9)),
+        ]:
+            first = train_sgns(counts, cfg)
+            second = train_sgns(counts, cfg)
+            assert np.array_equal(first.embeddings.w, second.embeddings.w)
+            assert np.array_equal(first.embeddings.h, second.embeddings.h)
+            assert first.objective_per_epoch == second.objective_per_epoch
+
+    def test_zero_epochs_returns_seeded_initialization(self):
+        counts = _uniform_k3_counts()
+        cfg = TrainConfig(dim=4, negatives=1, epochs=0, seed=42)
+        result = train_sgns(counts, cfg)
+        rng = np.random.default_rng(42)
+        scale = cfg.resolved_init_scale
+        assert np.array_equal(result.embeddings.w, rng.uniform(-scale, scale, size=(3, 4)))
+        assert np.array_equal(result.embeddings.h, rng.uniform(-scale, scale, size=(3, 4)))
+
+    def test_objective_never_exceeds_per_pair_bound(self):
+        for counts, cfg in [
+            (_uniform_k3_counts(),
+             TrainConfig(dim=3, negatives=1, epochs=60, learning_rate=0.05, seed=7)),
+            # hub-heavy: the zero-count leaf pairs push their dots toward -inf
+            (_star_counts(),
+             TrainConfig(dim=4, negatives=2, epochs=20, learning_rate=0.05, seed=6)),
+        ]:
+            result = train_sgns(counts, cfg)
+            assert np.all(np.isfinite(result.embeddings.w))
+            assert np.all(np.isfinite(result.embeddings.h))
+            assert result.final_objective > result.objective_per_epoch[0]
+            bound = sgns_objective_upper_bound(counts, cfg.negatives)
+            assert result.final_objective <= bound + 1e-6
+
+    def test_empty_counts_rejected(self):
+        counts = CooccurrenceCounts.from_matrix(np.zeros((2, 2), dtype=np.int64))
+        with pytest.raises(ValueError, match="empty"):
+            train_sgns(counts, TrainConfig(dim=2))
+
+    def test_full_dimension_all_positive_counts_reach_closed_form(self):
+        # With d = n and every count positive, trained dot products approach
+        # PMI - log k entrywise.
+        mat = np.random.default_rng(2).integers(20, 60, size=(4, 4))
+        for counts, cfg, tolerance in [
+            (CooccurrenceCounts.from_matrix(mat + mat.T),  # symmetric, all positive
+             TrainConfig(dim=4, negatives=1, epochs=150, learning_rate=0.05, seed=5), 0.1),
+            (_random_symmetric_counts(),
+             TrainConfig(dim=40, negatives=1, epochs=40, learning_rate=0.05, seed=3), 0.15),
+        ]:
+            # what the near-zero initial dot products miss by
+            zeros = EmbeddingPair(w=np.zeros((counts.n, 1)), h=np.zeros((counts.n, 1)))
+            assert _mean_error_to_shifted_pmi(counts, zeros, cfg.negatives) > tolerance
+            result = train_sgns(counts, cfg)
+            assert _mean_error_to_shifted_pmi(counts, result.embeddings, cfg.negatives) <= tolerance
+
+    @settings(derandomize=True, deadline=None, max_examples=10)
+    @given(st.integers(6, 10), st.integers(0, 10**6), st.sampled_from([1, 3]),
+           st.sampled_from([2, 5]))
+    def test_random_graphs_reach_the_masked_shifted_pmi(self, n, seed, k, window):
+        # The paper's claim across graphs: at d = n, training on long-walk
+        # counts drives the dot product of every pair with a nonzero count
+        # to log(#(v,c) |D| / (#(v) #(c))) - log k. Window 2 leaves pairs
+        # further apart than 2 steps at zero count; window 5 seldom does.
+        graph = random_connected_graph(n, seed)
+        counts = sample_counts(graph, SamplerConfig(window=window, centers=200_000,
+                                                    seed=seed))
+        cfg = TrainConfig(dim=n, negatives=k, epochs=20, learning_rate=0.05, seed=seed)
         result = train_sgns(counts, cfg)
         history = result.objective_per_epoch
         for before, after in zip(history, history[1:]):
             assert after >= before - 1e-3 * abs(before)
-        target = np.log(counts.dense * counts.total
-                        / np.outer(counts.node_counts, counts.context_counts)) - math.log(k)
-        assert np.mean(np.abs(target)) > 0.25  # what the near-zero initial dots miss by
-        assert np.mean(np.abs(dot_matrix(result.embeddings) - target)) <= 0.15
+        assert _mean_error_to_shifted_pmi(counts, result.embeddings, k) <= 0.05
 
-    def test_batches_above_one_same_seed_bitwise_identical(self):
-        counts = _random_symmetric_counts()
-        cfg = TrainConfig(dim=8, negatives=2, epochs=2, learning_rate=0.05, seed=9)
-        assert sgns.batch_size(counts, cfg.negatives) > 1
-        first = train_sgns(counts, cfg)
-        second = train_sgns(counts, cfg)
-        assert np.array_equal(first.embeddings.w, second.embeddings.w)
-        assert np.array_equal(first.embeddings.h, second.embeddings.h)
-        assert first.objective_per_epoch == second.objective_per_epoch
 
-    def test_batched_run_tracks_one_positive_at_a_time(self, monkeypatch):
-        # The same draws applied with the derived batch and with B = 1 give
-        # the same objective trajectory to within the ascent tolerance.
-        counts = _random_symmetric_counts()
-        cfg = TrainConfig(dim=8, negatives=1, epochs=3, learning_rate=0.05, seed=4)
-        batched = train_sgns(counts, cfg).objective_per_epoch
-        monkeypatch.setattr(sgns, "batch_size", lambda counts, negatives: 1)
-        sequential = train_sgns(counts, cfg).objective_per_epoch
-        assert batched[0] == sequential[0]
-        for a, b in zip(batched[1:], sequential[1:]):
-            assert abs(a - b) <= 1e-3 * abs(b)
-
-    def test_hub_heavy_counts_fall_back_to_single_positives(self):
-        counts = _star_counts()
-        k = 2
-        cfg = TrainConfig(dim=4, negatives=k, epochs=20, learning_rate=0.05, seed=6)
-        assert sgns.batch_size(counts, k) == 1
-        result = train_sgns(counts, cfg)
-        assert np.all(np.isfinite(result.embeddings.w))
-        assert np.all(np.isfinite(result.embeddings.h))
-        assert result.final_objective > result.objective_per_epoch[0]
-        assert result.final_objective <= sgns_objective_upper_bound(counts, k) + 1e-6
+class TestDotVsShiftedPmi:
+    @pytest.mark.parametrize("seed, n, d, k", [(0, 9, 2, 1), (1, 12, 3, 5), (2, 20, 8, 3)])
+    def test_matches_the_dense_masked_route(self, seed, n, d, k):
+        rng = np.random.default_rng(seed)
+        counts, _, _ = _partly_observed_counts(rng, n)
+        pair = _random_pair(rng, n, d)
+        report = dot_vs_shifted_pmi(counts, pair, k)
+        reference = compare_matrices(
+            dot_matrix(pair), sgns_target_from_counts(counts, k=k, zero_policy="mask").values)
+        assert (report.compared, report.excluded) == (reference.compared, reference.excluded)
+        assert report.compared == np.count_nonzero(counts.dense)
+        assert report.max_abs == pytest.approx(reference.max_abs, rel=1e-12)
+        assert report.mean_abs == pytest.approx(reference.mean_abs, rel=1e-12)
 
 
 class TestDotMatrix:
