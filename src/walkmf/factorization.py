@@ -116,11 +116,11 @@ def singular_values(m) -> np.ndarray:
 def write_embedding_matrix(mat: np.ndarray, path) -> None:
     """word2vec text format: header 'n d', then one 'id x1 ... xd' line per row."""
     mat = np.asarray(mat, dtype=float)
+    line = "%d " + " ".join(["%.17g"] * mat.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{mat.shape[0]} {mat.shape[1]}\n")
-        for i, row in enumerate(mat):
-            coords = " ".join("%.17g" % x for x in row)
-            fh.write(f"{i} {coords}\n")
+        for i, row in enumerate(mat.tolist()):
+            fh.write(line % (i, *row))
 
 
 def read_embedding_matrix(path) -> np.ndarray:

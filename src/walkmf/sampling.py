@@ -2,16 +2,20 @@
 
 One long walk is generated per worker; every position in the center range
 emits its following `window` positions as (center, context) pairs, and for
-undirected emission the mirrored (context, center) pair as well. Counts are
-accumulated exactly (integer arithmetic throughout) into one dense n x n
-int64 matrix, the only representation of counts; the marginals are derived
-from it, so all marginal identities hold to the last count. This module alone
-knows the counts.csv / counts.json interchange format.
+undirected emission the mirrored (context, center) pair as well. A long
+walk is stepped in segments: NumPy first guesses every segment from a
+common start node in lockstep, then Python steps the walk exactly and keeps
+each guess from the first node where the two agree, so the walk is the same
+as stepping it one position at a time.
+
+Counts are accumulated exactly (integer arithmetic throughout) into one
+dense n x n int64 matrix, the only representation of counts; the marginals
+are derived from it, so all marginal identities hold to the last count.
+This module alone knows the counts.csv / counts.json interchange format.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass, field, replace
@@ -24,7 +28,11 @@ from .graphs import Graph, require_connected, stationary_distribution
 START_MODES = ("stationary", "uniform", "fixed")
 
 DIRECTED_DEFAULT_BURN_IN = 1000
-_WALK_BLOCK = 1 << 16  # walk steps per block of uniforms
+_WALK_CHUNK = 1 << 20  # walk steps per chunk of uniforms
+_SEGMENT = 2048  # walk steps per guessed segment
+_MIN_GUESSED_SEGMENTS = 64  # a chunk with fewer segments is walked without guesses
+_GUESS_PIECE = 256  # steps converted to lists at a time while a segment seeks its guess
+_CSV_BLOCK_ROWS = 1 << 16  # counts rows formatted per write
 
 
 @dataclass(frozen=True)
@@ -174,26 +182,99 @@ def generate_walk(g: Graph, cfg: SamplerConfig) -> Walk:
     """Run one uniform random walk of burn_in + centers + window positions.
 
     Deterministic given cfg.seed. Requires a (strongly) connected graph so
-    the walk can never get stuck.
+    the walk can never get stuck. Step i takes the i-th uniform u of the
+    seeded stream and moves from node v to its out-neighbour number
+    floor(u deg(v)), in sorted order.
+
+    The uniforms come _WALK_CHUNK at a time, and a long chunk runs in two
+    passes over _SEGMENT-step segments. The guess pass steps one walker per
+    segment after the first, all in lockstep, each from the chunk's start
+    node with the uniforms of its own segment, and writes its nodes into
+    the walk. The exact pass then steps the walk itself from its true node,
+    segment by segment, and ends a segment at the first position where it
+    lands on the guess: the same node and the same uniforms give the same
+    path from there on. The walk is therefore the one that stepping every
+    position in turn would give, whichever guesses met. When a chunk's
+    exact pass walks more than half its steps, guesses rarely meet on this
+    graph (on a directed cycle, one meets the walk only if its offset is a
+    multiple of the cycle's length), and later chunks are walked without
+    them. Walks shorter than _MIN_GUESSED_SEGMENTS segments are never
+    guessed.
     """
     require_connected(g)
     rng = np.random.default_rng(cfg.seed)
     start = _draw_start(g, cfg, rng)
 
     length = cfg.burn_in + cfg.centers + cfg.window
-    # Python lists and uniforms drawn a block at a time keep the hot loop
-    # free of NumPy scalar indexing and per-step RNG calls; successive
-    # rng.random blocks are the same stream as one draw for every step.
-    indptr, indices, degrees = g.indptr.tolist(), g.indices.tolist(), g.degrees.tolist()
+    # Python lists keep the exact pass free of NumPy scalar indexing, and
+    # successive rng.random chunks are the same stream as one draw for
+    # every step. Uniforms become lists a segment at a time: a whole chunk
+    # as Python floats would take ~32 bytes per step.
+    rule = (g.indptr.tolist(), g.indices.tolist(), g.degrees.tolist())
     walk = np.empty(length, dtype=np.int64)
     walk[0] = cur = start
-    for lo in range(1, length, _WALK_BLOCK):
-        block = []
-        for u in rng.random(min(_WALK_BLOCK, length - lo)).tolist():
-            cur = indices[indptr[cur] + int(u * degrees[cur])]
-            block.append(cur)
-        walk[lo:lo + len(block)] = block
+    guessing = True
+    for lo in range(1, length, _WALK_CHUNK):
+        uniforms = rng.random(min(_WALK_CHUNK, length - lo))
+        chunk = walk[lo:lo + len(uniforms)]
+        segments = len(uniforms) // _SEGMENT
+        guessed = segments if guessing and segments >= _MIN_GUESSED_SEGMENTS else 0
+        if guessed:
+            _guess_segments(g, cur, uniforms[:guessed * _SEGMENT], chunk)
+        exact = 0
+        for a in range(0, len(uniforms), _SEGMENT):
+            b = min(a + _SEGMENT, len(uniforms))
+            if 0 < a < guessed * _SEGMENT:
+                path = _step_to_guess(cur, uniforms[a:b], chunk[a:b], *rule)
+            else:
+                path = _step(cur, uniforms[a:b].tolist(), *rule)
+            chunk[a:a + len(path)] = path
+            exact += len(path)
+            cur = int(chunk[b - 1])
+        if guessed and 2 * exact > len(uniforms):
+            guessing = False
     return Walk(nodes=walk, n=g.n, seed=cfg.seed)
+
+
+def _step(cur: int, uniforms: list, indptr: list, indices: list, degrees: list) -> list:
+    """The nodes after cur, one step per uniform. Kept apart from
+    _step_to_guess so that unguessed steps pay for no comparison."""
+    path = []
+    for u in uniforms:
+        cur = indices[indptr[cur] + int(u * degrees[cur])]
+        path.append(cur)
+    return path
+
+
+def _step_to_guess(cur: int, uniforms: np.ndarray, guesses: np.ndarray, indptr: list,
+                   indices: list, degrees: list) -> list:
+    """As _step, but the path ends at the first node equal to its guess.
+
+    Most paths meet their guess early, so the arrays are converted to lists
+    _GUESS_PIECE entries at a time rather than whole."""
+    path = []
+    for lo in range(0, len(uniforms), _GUESS_PIECE):
+        hi = lo + _GUESS_PIECE
+        for u, guess in zip(uniforms[lo:hi].tolist(), guesses[lo:hi].tolist()):
+            cur = indices[indptr[cur] + int(u * degrees[cur])]
+            path.append(cur)
+            if cur == guess:
+                return path
+    return path
+
+
+def _guess_segments(g: Graph, start: int, uniforms: np.ndarray, out: np.ndarray) -> None:
+    """Write into out, for every _SEGMENT-step segment of uniforms but the
+    first, the walk that starts at `start` and takes that segment's uniforms.
+    The walkers step together, one NumPy gather per step, by the rule
+    generate_walk's exact pass uses."""
+    shape = (len(uniforms) // _SEGMENT - 1, _SEGMENT)
+    us = uniforms[_SEGMENT:].reshape(shape)
+    guesses = out[_SEGMENT:len(uniforms)].reshape(shape)
+    cur = np.full(shape[0], start, dtype=np.int64)
+    for j in range(_SEGMENT):
+        cur = g.indices[g.indptr[cur] + (us[:, j] * g.degrees[cur]).astype(np.int64)]
+        guesses[:, j] = cur
 
 
 def extract_pairs(walk: Walk, window: int, directed: bool, burn_in: int,
@@ -270,12 +351,17 @@ def empirical_frequency(counts: CooccurrenceCounts) -> np.ndarray:
 
 
 def write_counts_csv(counts: CooccurrenceCounts, path) -> None:
-    """Nonzero counts as 'v,c,count' rows, ordered by (v, c)."""
+    """Nonzero counts as 'v,c,count' rows, ordered by (v, c). Lines end in
+    CRLF, as csv.writer ends them; each block of rows is formatted by one
+    string operation."""
     v, c = np.nonzero(counts.dense)  # row-major, so already in (v, c) order
+    cnt = counts.dense[v, c]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["v", "c", "count"])
-        writer.writerows(zip(v.tolist(), c.tolist(), counts.dense[v, c].tolist()))
+        fh.write("v,c,count\r\n")
+        for lo in range(0, len(v), _CSV_BLOCK_ROWS):
+            part = slice(lo, lo + _CSV_BLOCK_ROWS)
+            block = np.column_stack((v[part], c[part], cnt[part]))
+            fh.write(("%d,%d,%d\r\n" * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_counts_sidecar(counts: CooccurrenceCounts, path, config: Optional[SamplerConfig] = None) -> None:

@@ -139,8 +139,12 @@ def sgns_objective(counts: CooccurrenceCounts, pair: EmbeddingPair, negatives: i
         )
     rows, cols = _observed(counts)
     pos, neg = _weights(counts, negatives, rows[:, None], cols)
-    x = pair.w[rows] @ pair.h[cols].T
-    return float(np.sum((pos + neg) * _log_sigmoid(x) - neg * x))
+    return _block_objective(pos + neg, neg, pair.w[rows] @ pair.h[cols].T)
+
+
+def _block_objective(weight: np.ndarray, neg: np.ndarray, x: np.ndarray) -> float:
+    """sgns_objective over a block of dot products x, with weight = pos + neg."""
+    return float(np.sum(weight * _log_sigmoid(x) - neg * x))
 
 
 def sgns_objective_gradient(counts: CooccurrenceCounts, pair: EmbeddingPair,
@@ -197,7 +201,8 @@ def train_sgns(counts: CooccurrenceCounts, cfg: TrainConfig) -> TrainResult:
     runs STEPS_PER_EPOCH steps of Adam (Kingma & Ba, arXiv:1412.6980) on
     the exact gradient of that block. The step size decays linearly over
     all steps from cfg.learning_rate to LR_FLOOR_RATIO of it. The exact
-    objective is recorded before training and after every epoch.
+    objective is recorded before training, by sgns_objective, and after
+    every epoch, from the block being trained.
     """
     if counts.total == 0:
         raise ValueError("counts are empty")
@@ -231,7 +236,7 @@ def train_sgns(counts: CooccurrenceCounts, cfg: TrainConfig) -> TrainResult:
             s += (1.0 - ADAM_BETA2) * g * g
             b += rate * (m / first_bias) / (np.sqrt(s / second_bias) + ADAM_EPSILON)
         if (step + 1) % STEPS_PER_EPOCH == 0:
-            w[rows], h[cols] = block
-            history.append(sgns_objective(counts, pair, k))
+            history.append(_block_objective(weight, neg, np.matmul(wb, hb.T, out=x)))
 
+    w[rows], h[cols] = block
     return TrainResult(embeddings=pair, objective_per_epoch=history)

@@ -1,9 +1,18 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphgen import k2, path3, random_connected_graph, triangle
+from graphgen import (
+    cycle,
+    k2,
+    path3,
+    random_connected_graph,
+    random_strongly_connected_digraph,
+    triangle,
+)
 from walkmf import (
     CooccurrenceCounts,
     SamplerConfig,
@@ -21,6 +30,8 @@ from walkmf import (
     write_counts_csv,
     write_counts_sidecar,
 )
+from walkmf import sampling
+from walkmf.cli import main
 
 # chi-square critical value, 1 degree of freedom, alpha = 0.001
 CHI2_1DOF_P001 = 10.828
@@ -116,6 +127,83 @@ class TestGenerateWalk:
         walk = generate_walk(g, cfg)
         for a, b in zip(walk.nodes[:-1], walk.nodes[1:]):
             assert frozenset((int(a), int(b))) in edge_set
+
+
+def _reference_walk(g, cfg):
+    """One uniform per step from the seeded stream, each picking among the
+    sorted out-neighbours taken from the edge list; fixed start only."""
+    neighbours = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        neighbours[u].append(v)
+        if not g.directed:
+            neighbours[v].append(u)
+    neighbours = [sorted(row) for row in neighbours]
+    rng = np.random.default_rng(cfg.seed)
+    cur = cfg.start_node
+    expected = [cur]
+    for _ in range(cfg.burn_in + cfg.centers + cfg.window - 1):
+        row = neighbours[cur]
+        cur = row[int(rng.random() * len(row))]
+        expected.append(cur)
+    return expected
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Chunks of 1000 uniforms in 16-step segments, guessed from 4 segments
+    on; yields the start node of every guess pass."""
+    monkeypatch.setattr(sampling, "_WALK_CHUNK", 1000)
+    monkeypatch.setattr(sampling, "_SEGMENT", 16)
+    monkeypatch.setattr(sampling, "_MIN_GUESSED_SEGMENTS", 4)
+    monkeypatch.setattr(sampling, "_GUESS_PIECE", 5)
+    starts = []
+    guess = sampling._guess_segments
+
+    def spy(g, start, uniforms, out):
+        starts.append(start)
+        return guess(g, start, uniforms, out)
+
+    monkeypatch.setattr(sampling, "_guess_segments", spy)
+    return starts
+
+
+class TestGuessedWalk:
+    # Six chunks of 1000 steps, each 62 full 16-step segments and an 8-step
+    # tail, then a last chunk of 4 steps, too short to guess.
+    STEPS = 6004
+
+    @pytest.mark.parametrize("g", [random_connected_graph(12, seed=5, extra_edges=10),
+                                   random_strongly_connected_digraph(12, seed=3, extra_edges=40)],
+                             ids=["undirected", "directed"])
+    def test_guessed_chunks_match_one_step_at_a_time_reference(self, small_chunks, g):
+        cfg = SamplerConfig(window=3, centers=self.STEPS - 2, seed=17,
+                            start_mode="fixed", start_node=4)
+        walk = generate_walk(g, cfg).nodes.tolist()
+        assert walk == _reference_walk(g, cfg)
+        # Every long chunk was guessed, so every exact pass walked at most
+        # half its chunk: guesses met and were kept.
+        assert small_chunks == [walk[lo - 1] for lo in range(1, 6001, 1000)]
+
+    @pytest.mark.parametrize("g", [cycle(7, directed=True), cycle(40)],
+                             ids=["directed-cycle", "even-cycle"])
+    def test_guesses_that_rarely_meet_stop_after_one_chunk(self, small_chunks, g):
+        # A directed cycle's guess meets the walk only where the segment
+        # offset is a multiple of n; on a cycle both walkers take the same
+        # direction from the same uniform except at the wrap-around, so
+        # guesses rarely close the gap.
+        cfg = SamplerConfig(window=3, centers=self.STEPS - 2, seed=17,
+                            start_mode="fixed", start_node=2)
+        assert generate_walk(g, cfg).nodes.tolist() == _reference_walk(g, cfg)
+        assert small_chunks == [2]
+
+    @pytest.mark.parametrize("steps, guessed", [(4 * 16 - 1, []), (4 * 16, [0])],
+                             ids=["63-steps", "64-steps"])
+    def test_chunks_of_fewer_segments_are_not_guessed(self, small_chunks, steps, guessed):
+        cfg = SamplerConfig(window=2, centers=steps - 1, seed=1,
+                            start_mode="fixed", start_node=0)
+        g = random_connected_graph(12, seed=5, extra_edges=10)
+        assert generate_walk(g, cfg).nodes.tolist() == _reference_walk(g, cfg)
+        assert small_chunks == guessed
 
 
 class TestExtractPairs:
@@ -224,6 +312,21 @@ class TestSampleCounts:
         forward = merge_counts(parts)
         backward = merge_counts(parts[::-1])
         assert np.array_equal(forward.dense, backward.dense)
+
+    @pytest.mark.parametrize("workers, digest", [
+        (1, "7a22f5288709286474e71cab65f559e23dc55993b117126cbe7167700df32713"),
+        (2, "600944d303c0d784f53b79d8b40ac5e18ab1f0648bdeed88744ba2bb68166d52"),
+    ], ids=["workers-1", "workers-2"])
+    def test_guessed_walks_keep_the_golden_counts(self, tmp_path, workers, digest):
+        # Recorded before walks were guessed: every walk here is long enough
+        # to be, and the counts.csv bytes must not change.
+        g = random_strongly_connected_digraph(300, seed=21, extra_edges=900)
+        graph = tmp_path / "g.edges"
+        graph.write_text("".join(f"{u} {v}\n" for u, v in g.edges))
+        out = tmp_path / "out"
+        assert main(["sample", "-i", str(graph), "--directed", "-t", "3", "-L", "300000",
+                     "--seed", "5", "--workers", str(workers), "-o", str(out)]) == 0
+        assert hashlib.sha256((out / "counts.csv").read_bytes()).hexdigest() == digest
 
 
 class TestEmpiricalStatistics:
