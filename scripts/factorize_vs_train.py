@@ -2,11 +2,13 @@
 """Compare the two routes to embeddings on one graph.
 
 Route A factorizes the exact shifted-PMI target with a truncated SVD and
-reports reconstruction error as the rank grows. Route B samples counts
-from a walk, maximizes the exact SGNS objective on them by full-batch Adam
-at d = n, and reports how close the learned dot products get to the
-shifted PMI of those counts, on the pairs with a nonzero count. As the walk
-grows, that matrix approaches route A's target.
+reports reconstruction error as the rank grows. The graph is undirected, so
+the target is symmetric and `factorize` reads its singular triplets off one
+symmetric eigendecomposition. Route B samples counts from a walk, maximizes
+the exact SGNS objective on them by full-batch Adam at d = n, and reports
+how close the learned dot products get to the shifted PMI of those counts,
+on the pairs with a nonzero count. As the walk grows, that matrix
+approaches route A's target.
 
     python scripts/factorize_vs_train.py --demo -t 2
 """

@@ -3,6 +3,11 @@
 Truncated SVD with the singular values split evenly across both factors is
 the canonical choice here: the rank-d product W H^T is then the best rank-d
 Frobenius approximation of the target.
+
+A square target that is symmetric to rounding, as the SGNS target of every
+undirected graph is (pi_i P_ij is symmetric there), is decomposed with one
+symmetric eigendecomposition instead of a full SVD. Its singular triplets
+are read off the eigenpairs: s = |lambda|, u = q, v = q sign(lambda).
 """
 
 from __future__ import annotations
@@ -57,11 +62,38 @@ def _fix_signs(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, vt
 
 
+def _is_symmetric(mat: np.ndarray) -> bool:
+    """Square and symmetric to rounding: max|M - M^T| <= n eps max|M|."""
+    n = mat.shape[0]
+    if mat.shape[1] != n:
+        return False
+    tol = n * np.finfo(float).eps * np.abs(mat).max()
+    return bool(np.abs(mat - mat.T).max() <= tol)
+
+
+def _symmetric_triplets(mat: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top-d singular triplets (u, s, vt) of a symmetric matrix from one eigh
+    of (M + M^T)/2: the eigenpairs ordered by |lambda| descending (a stable
+    sort, so ties keep eigh's ascending order), s = |lambda|, u = q and
+    v = q sign(lambda), with sign(0) taken as +1."""
+    sym = mat + mat.T
+    sym *= 0.5
+    try:
+        lam, q = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(f"eigendecomposition did not converge: {exc}") from exc
+    order = np.argsort(-np.abs(lam), kind="stable")[:d]
+    lam, u = lam[order], q[:, order]
+    return u, np.abs(lam), (u * np.where(lam < 0, -1.0, 1.0)).T
+
+
 def truncated_svd(m, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top-d singular triplets (u, s, v) of a finite matrix, s descending.
 
-    Columns of u and v are orthonormal; signs are fixed so repeated calls
-    give identical output.
+    A square matrix symmetric to rounding (max|M - M^T| <= n eps max|M|) is
+    factored as (M + M^T)/2 by one `np.linalg.eigh`; any other matrix by
+    `np.linalg.svd`. Columns of u and v are orthonormal; signs are fixed so
+    repeated calls give identical output.
     """
     mat = _as_array(m)
     if mat.ndim != 2:
@@ -74,17 +106,21 @@ def truncated_svd(m, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     limit = min(mat.shape)
     if not (1 <= d <= limit):
         raise FactorizationError(f"rank d must be in 1..{limit}, got {d}")
-    try:
-        u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"SVD did not converge: {exc}") from exc
+    if _is_symmetric(mat):
+        u, s, vt = _symmetric_triplets(mat, d)
+    else:
+        try:
+            u, s, vt = np.linalg.svd(mat, full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise FactorizationError(f"SVD did not converge: {exc}") from exc
+        u, s, vt = u[:, :d], s[:d], vt[:d, :]
     u, vt = _fix_signs(u, vt)
-    return u[:, :d], s[:d], vt[:d, :].T
+    return u, s, vt.T
 
 
 def factorize(m, d: int, split: str = "symmetric") -> EmbeddingPair:
-    """Rank-d embeddings from the SVD: symmetric split puts sqrt(s) in both
-    factors, 'left' puts all of s into the node matrix."""
+    """Rank-d embeddings from `truncated_svd`: symmetric split puts sqrt(s) in
+    both factors, 'left' puts all of s into the node matrix."""
     if split not in SPLITS:
         raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
     u, s, v = truncated_svd(m, d)

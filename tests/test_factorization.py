@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphgen import path3, triangle
+from graphgen import path3, random_connected_graph, random_strongly_connected_digraph, triangle
 from walkmf import (
     EmbeddingPair,
     FactorizationError,
@@ -27,8 +27,23 @@ def _gram_eigen_oracle(mat):
     return np.sqrt(np.clip(eigvals, 0.0, None))[::-1]
 
 
-def _random_matrix(seed, n=6):
-    return np.random.default_rng(seed).normal(size=(n, n))
+def _random_matrix(seed, n=6, symmetric=False):
+    # symmetric=True gives an indefinite symmetric matrix (with probability 1),
+    # which truncated_svd factors through eigh rather than svd.
+    mat = np.random.default_rng(seed).normal(size=(n, n))
+    return (mat + mat.T) / 2 if symmetric else mat
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Names of the numpy decompositions called, in order."""
+    calls = []
+    for name in ("eigh", "svd"):
+        def spy(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
 
 
 class TestTruncatedSvd:
@@ -75,18 +90,84 @@ class TestTruncatedSvd:
             assert leading > 0
 
     @settings(deadline=None, max_examples=40)
-    @given(st.integers(0, 10**6))
-    def test_matches_gram_eigenvalue_oracle(self, seed):
-        mat = _random_matrix(seed)
+    @given(st.integers(0, 10**6), st.booleans())
+    def test_matches_gram_eigenvalue_oracle(self, seed, symmetric):
+        mat = _random_matrix(seed, symmetric=symmetric)
         _, s, _ = truncated_svd(mat, d=6)
         assert np.max(np.abs(s - _gram_eigen_oracle(mat))) < 1e-8
 
     @settings(deadline=None, max_examples=40)
-    @given(st.integers(0, 10**6), st.integers(1, 6))
-    def test_orthonormal_columns(self, seed, d):
-        u, _, v = truncated_svd(_random_matrix(seed), d=d)
+    @given(st.integers(0, 10**6), st.integers(1, 6), st.booleans())
+    def test_orthonormal_columns(self, seed, d, symmetric):
+        u, _, v = truncated_svd(_random_matrix(seed, symmetric=symmetric), d=d)
         assert np.max(np.abs(u.T @ u - np.eye(d))) < 1e-8
         assert np.max(np.abs(v.T @ v - np.eye(d))) < 1e-8
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 10**6), st.integers(1, 6), st.booleans())
+    def test_error_equals_oracle_tail(self, seed, d, symmetric):
+        # Eckart-Young: the rank-d product misses exactly the oracle's tail.
+        mat = _random_matrix(seed, symmetric=symmetric)
+        u, s, v = truncated_svd(mat, d=d)
+        tail = np.sqrt(np.sum(_gram_eigen_oracle(mat)[d:] ** 2))
+        assert abs(np.linalg.norm(mat - (u * s) @ v.T) - tail) < 1e-8
+
+    @pytest.mark.parametrize("d, tail", [(1, np.sqrt(5.0)), (2, 1.0)])
+    def test_plus_minus_tie(self, d, tail):
+        # Eigenvalues 2 and -2 tie in |lambda|; either order is a best
+        # rank-d factorization, and the one chosen must not vary.
+        mat = np.diag([2.0, -2.0, 1.0])
+        u, s, v = truncated_svd(mat, d=d)
+        assert np.array_equal(s, [2.0] * d)
+        assert abs(np.linalg.norm(mat - (u * s) @ v.T) - tail) < 1e-12
+        again = truncated_svd(mat, d=d)
+        assert all(np.array_equal(a, b) for a, b in zip((u, s, v), again))
+
+    def test_ties_keep_ascending_eigenvalue_order(self):
+        # Each |lambda| = 20, ..., 1 appears as -k and +k; the stable order
+        # by |lambda| puts -k first, so u_j . v_j alternates -1, +1.
+        k = np.arange(20, 0, -1.0)
+        u, s, v = truncated_svd(np.diag(np.concatenate([k, -k])), d=40)
+        assert np.array_equal(s, np.repeat(k, 2))
+        assert np.array_equal(np.round(np.sum(u * v, axis=0)), np.tile([-1.0, 1.0], 20))
+
+    def test_zero_eigenvalues_keep_v_orthonormal(self):
+        # sign(0) counts as +1: a symmetric matrix of rank 1 still gets a
+        # full orthonormal v at d = n.
+        mat = np.diag([0.0, 2.0, 0.0])
+        u, s, v = truncated_svd(mat, d=3)
+        assert np.max(np.abs(v.T @ v - np.eye(3))) < 1e-12
+        assert np.max(np.abs((u * s) @ v.T - mat)) < 1e-12
+
+
+class TestDecompositionRoute:
+    def test_undirected_sgns_target_uses_eigh_only(self, decompositions):
+        g = random_connected_graph(12, seed=3, extra_edges=10)
+        target = sgns_target_exact(walk_probability_matrix(g, 2), stationary_distribution(g), k=1)
+        factorize(target, d=4)
+        assert decompositions == ["eigh"]
+
+    def test_directed_sgns_target_uses_svd(self, decompositions):
+        g = random_strongly_connected_digraph(12, seed=3, extra_edges=12)
+        target = sgns_target_exact(walk_probability_matrix(g, 2), stationary_distribution(g), k=1)
+        assert np.abs(target.values - target.values.T).max() > 1e-3
+        factorize(target, d=4)
+        assert decompositions == ["svd"]
+
+    def test_asymmetry_within_tolerance_factors_the_symmetric_part(self):
+        mat = _random_matrix(7, symmetric=True)
+        mat[0, 1] += 0.5 * 6 * np.finfo(float).eps * np.abs(mat).max()
+        got = truncated_svd(mat, d=4)
+        want = truncated_svd((mat + mat.T) / 2, d=4)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("times_tolerance, route", [(10.0, "svd"), (0.5, "eigh")])
+    def test_asymmetry_against_tolerance(self, decompositions, times_tolerance, route):
+        # The tolerance is n eps max|M| = 3 * eps * 3 for this matrix.
+        mat = np.diag([3.0, 2.0, 1.0])
+        mat[0, 1] = times_tolerance * 9 * np.finfo(float).eps
+        truncated_svd(mat, d=2)
+        assert decompositions == [route]
 
 
 class TestFactorize:

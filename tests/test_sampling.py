@@ -98,9 +98,10 @@ class TestGenerateWalk:
         assert chi2 < CHI2_1DOF_P001
 
     def test_matches_one_step_at_a_time_reference(self):
-        # The walk draws its uniforms in blocks; a walk spanning more than
-        # three blocks must equal one uniform per step from the same stream,
-        # each picking among the sorted neighbours taken from the edge list.
+        # This ~198k-step walk fits in one chunk of uniforms and has enough
+        # segments to be stepped as guesses spliced by the exact pass; it
+        # must equal one uniform per step from the same stream, each picking
+        # among the sorted neighbours taken from the edge list.
         g = random_connected_graph(12, seed=5, extra_edges=10)
         neighbours = [[] for _ in range(g.n)]
         for u, v in g.edges:
