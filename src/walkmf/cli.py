@@ -445,6 +445,8 @@ def _config_from_args(args) -> dict:
             "format": args.format,
         }
     if args.command == "sample":
+        if (args.start_node is not None) != (args.start_mode == "fixed"):
+            raise UsageError("--start-node and --start-mode fixed must be given together")
         return {
             "input": path_of(args.input),
             "directed": args.directed,

@@ -4,9 +4,15 @@ One long walk is generated per worker; every position in the center range
 emits its following `window` positions as (center, context) pairs, and for
 undirected emission the mirrored (context, center) pair as well. A long
 walk is stepped in segments: NumPy first guesses every segment from a
-common start node in lockstep, then Python steps the walk exactly and keeps
-each guess from the first node where the two agree, so the walk is the same
-as stepping it one position at a time.
+common start node in lockstep, each guess walker starting a quarter segment
+early so that it has usually met the walk before its segment begins, then
+Python steps the walk exactly and keeps each guess from the first node where
+the two agree, so the walk is the same as stepping it one position at a time.
+
+Memory is bounded per walk step, not per pair: the walk is int32 (4 bytes
+a step) whenever the node ids fit, its uniforms are drawn into one reused
+buffer of _WALK_CHUNK floats, pairs are counted a block of centers at a
+time, and each worker's walk is freed before the next one is generated.
 
 Counts are accumulated exactly (integer arithmetic throughout) into one
 dense n x n int64 matrix, the only representation of counts; the marginals
@@ -32,6 +38,7 @@ _WALK_CHUNK = 1 << 20  # walk steps per chunk of uniforms
 _SEGMENT = 2048  # walk steps per guessed segment
 _MIN_GUESSED_SEGMENTS = 64  # a chunk with fewer segments is walked without guesses
 _GUESS_PIECE = 256  # steps converted to lists at a time while a segment seeks its guess
+_PAIR_BLOCK = 1 << 18  # centers whose pair codes are built at a time
 _CSV_BLOCK_ROWS = 1 << 16  # counts rows formatted per write
 
 
@@ -99,7 +106,11 @@ def default_sampler_config(g: Graph, window: int, centers: int, seed: int = 0,
 
 @dataclass(frozen=True, eq=False)
 class Walk:
-    """A realized random walk over node ids, with the seed that produced it."""
+    """A realized random walk over node ids, with the seed that produced it.
+
+    generate_walk stores `nodes` as int32 when every id fits (n <= 2**31 - 1)
+    and as int64 otherwise; extract_pairs takes either integer dtype.
+    """
 
     nodes: np.ndarray
     n: int
@@ -184,22 +195,24 @@ def generate_walk(g: Graph, cfg: SamplerConfig) -> Walk:
     Deterministic given cfg.seed. Requires a (strongly) connected graph so
     the walk can never get stuck. Step i takes the i-th uniform u of the
     seeded stream and moves from node v to its out-neighbour number
-    floor(u deg(v)), in sorted order.
+    floor(u deg(v)), in sorted order. The walk is int32 when n <= 2**31 - 1
+    and int64 otherwise.
 
-    The uniforms come _WALK_CHUNK at a time, and a long chunk runs in two
-    passes over _SEGMENT-step segments. The guess pass steps one walker per
-    segment after the first, all in lockstep, each from the chunk's start
-    node with the uniforms of its own segment, and writes its nodes into
-    the walk. The exact pass then steps the walk itself from its true node,
-    segment by segment, and ends a segment at the first position where it
-    lands on the guess: the same node and the same uniforms give the same
-    path from there on. The walk is therefore the one that stepping every
-    position in turn would give, whichever guesses met. When a chunk's
-    exact pass walks more than half its steps, guesses rarely meet on this
-    graph (on a directed cycle, one meets the walk only if its offset is a
-    multiple of the cycle's length), and later chunks are walked without
-    them. Walks shorter than _MIN_GUESSED_SEGMENTS segments are never
-    guessed.
+    The uniforms come _WALK_CHUNK at a time, each chunk drawn into the same
+    buffer, and a long chunk runs in two passes over _SEGMENT-step
+    segments. The guess pass steps one walker per segment after the first,
+    all in lockstep, each from the chunk's start node; a walker takes the
+    last quarter of the previous segment's uniforms as a lead-in, then its
+    own segment's, and writes its nodes over its own segment of the walk.
+    The exact pass then steps the walk itself from its true node, segment
+    by segment, and ends a segment at the first position where it lands on
+    the guess: the same node and the same uniforms give the same path from
+    there on. The walk is therefore the one that stepping every position in
+    turn would give, whichever guesses met. When a chunk's exact pass walks
+    more than half its steps, guesses rarely meet on this graph (on a
+    directed cycle, one meets the walk only if its offset is a multiple of
+    the cycle's length), and later chunks are walked without them. Walks
+    shorter than _MIN_GUESSED_SEGMENTS segments are never guessed.
     """
     require_connected(g)
     rng = np.random.default_rng(cfg.seed)
@@ -211,11 +224,12 @@ def generate_walk(g: Graph, cfg: SamplerConfig) -> Walk:
     # every step. Uniforms become lists a segment at a time: a whole chunk
     # as Python floats would take ~32 bytes per step.
     rule = (g.indptr.tolist(), g.indices.tolist(), g.degrees.tolist())
-    walk = np.empty(length, dtype=np.int64)
+    walk = np.empty(length, dtype=np.int32 if g.n <= np.iinfo(np.int32).max else np.int64)
     walk[0] = cur = start
+    buffer = np.empty(min(_WALK_CHUNK, length - 1))
     guessing = True
     for lo in range(1, length, _WALK_CHUNK):
-        uniforms = rng.random(min(_WALK_CHUNK, length - lo))
+        uniforms = rng.random(out=buffer[:min(_WALK_CHUNK, length - lo)])
         chunk = walk[lo:lo + len(uniforms)]
         segments = len(uniforms) // _SEGMENT
         guessed = segments if guessing and segments >= _MIN_GUESSED_SEGMENTS else 0
@@ -265,15 +279,23 @@ def _step_to_guess(cur: int, uniforms: np.ndarray, guesses: np.ndarray, indptr: 
 
 def _guess_segments(g: Graph, start: int, uniforms: np.ndarray, out: np.ndarray) -> None:
     """Write into out, for every _SEGMENT-step segment of uniforms but the
-    first, the walk that starts at `start` and takes that segment's uniforms.
-    The walkers step together, one NumPy gather per step, by the rule
-    generate_walk's exact pass uses."""
-    shape = (len(uniforms) // _SEGMENT - 1, _SEGMENT)
-    us = uniforms[_SEGMENT:].reshape(shape)
-    guesses = out[_SEGMENT:len(uniforms)].reshape(shape)
-    cur = np.full(shape[0], start, dtype=np.int64)
+    first, the walk that starts at `start`, takes the last _SEGMENT // 4
+    uniforms of the previous segment as a lead-in and then that segment's
+    uniforms; only the segment's own nodes are written. The walkers step
+    together, one NumPy gather per step, by the rule generate_walk's exact
+    pass uses. Walks that share uniforms tend to merge, so the lead-in lets
+    most guesses meet the walk before their segment begins."""
+    rows = uniforms.reshape(-1, _SEGMENT)
+    guesses = out[_SEGMENT:len(uniforms)].reshape(-1, _SEGMENT)
+    cur = np.full(len(guesses), start, dtype=np.int64)
+
+    def step(cur, us):
+        return g.indices[g.indptr[cur] + (us * g.degrees[cur]).astype(np.int64)]
+
+    for j in range(_SEGMENT - _SEGMENT // 4, _SEGMENT):
+        cur = step(cur, rows[:-1, j])
     for j in range(_SEGMENT):
-        cur = g.indices[g.indptr[cur] + (us[:, j] * g.degrees[cur]).astype(np.int64)]
+        cur = step(cur, rows[1:, j])
         guesses[:, j] = cur
 
 
@@ -285,6 +307,13 @@ def extract_pairs(walk: Walk, window: int, directed: bool, burn_in: int,
     for offsets o = 1..window; undirected emission also records the mirrored
     pair, so the count map is exactly symmetric and the total is
     2 * window * centers (window * centers when directed).
+
+    Centers are taken max(_PAIR_BLOCK, n*n) at a time, so the pair codes
+    v*n + c take ~16 bytes per block center rather than per walk step, and
+    no more than the n*n counts themselves. A block is never smaller than
+    n*n because every bincount call also returns n*n counts to add. The
+    codes are int64 whatever the walk's dtype: an int32 walk times n would
+    wrap once n*n > 2**31 under NumPy 1.x.
     """
     needed = burn_in + centers + window
     if len(walk) < needed:
@@ -292,10 +321,14 @@ def extract_pairs(walk: Walk, window: int, directed: bool, burn_in: int,
     n = walk.n
     nodes = walk.nodes
     forward = np.zeros(n * n, dtype=np.int64)
-    lo, hi = burn_in, burn_in + centers
-    for offset in range(1, window + 1):
-        codes = nodes[lo:hi] * n + nodes[lo + offset:hi + offset]
-        forward += np.bincount(codes, minlength=n * n)
+    end = burn_in + centers
+    block = max(_PAIR_BLOCK, n * n)
+    for lo in range(burn_in, end, block):
+        hi = min(lo + block, end)
+        rows = nodes[lo:hi].astype(np.int64)
+        rows *= n
+        for offset in range(1, window + 1):
+            forward += np.bincount(rows + nodes[lo + offset:hi + offset], minlength=n * n)
     mat = forward.reshape(n, n)
     if not directed:
         mat = mat + mat.T
@@ -313,6 +346,8 @@ def sample_counts(g: Graph, cfg: SamplerConfig) -> CooccurrenceCounts:
     With workers > 1, the center budget is split across workers, each worker
     runs its own walk from a seed mixed out of (cfg.seed, worker index), and
     the partial counts are summed. Deterministic given (seed, workers).
+    Each walk goes straight to extract_pairs and is freed before the next
+    one is generated, so at most one walk is held at a time.
     """
     if cfg.workers == 1:
         walk = generate_walk(g, cfg)
@@ -325,8 +360,8 @@ def sample_counts(g: Graph, cfg: SamplerConfig) -> CooccurrenceCounts:
         if chunk == 0:
             continue
         sub = replace(cfg, centers=chunk, seed=_worker_seed(cfg.seed, w), workers=1)
-        walk = generate_walk(g, sub)
-        parts.append(extract_pairs(walk, sub.window, g.directed, sub.burn_in, sub.centers))
+        parts.append(extract_pairs(generate_walk(g, sub), sub.window, g.directed, sub.burn_in,
+                                   sub.centers))
     return merge_counts(parts)
 
 

@@ -153,6 +153,28 @@ class TestSample:
                      "-o", str(tmp_path / "out")])
         assert code == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--start-node", "2"],
+        ["--start-node", "2", "--start-mode", "uniform"],
+        ["--start-mode", "fixed"],
+    ], ids=["node-without-mode", "node-with-uniform", "fixed-without-node"])
+    def test_start_node_and_fixed_mode_go_together(self, tmp_path, path_graph_file, capsys,
+                                                   flags):
+        out = tmp_path / "out"
+        code = main(["sample", "-i", str(path_graph_file), "-t", "1", "-L", "5", *flags,
+                     "-o", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--start-node" in err and "--start-mode fixed" in err
+        assert not out.exists()
+
+    def test_fixed_start_node_is_used(self, tmp_path, path_graph_file):
+        # From the end node 2 of 0-1-2, one step can only reach 1.
+        out = tmp_path / "out"
+        assert main(["sample", "-i", str(path_graph_file), "-t", "1", "-L", "1",
+                     "--start-mode", "fixed", "--start-node", "2", "-o", str(out)]) == 0
+        assert (out / "counts.csv").read_text().splitlines() == ["v,c,count", "1,2,1", "2,1,1"]
+
     def test_sidecar_records_config(self, tmp_path, path_graph_file):
         out = tmp_path / "out"
         assert main(["sample", "-i", str(path_graph_file), "-t", "3", "-L", "50",

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,7 +208,69 @@ class TestGuessedWalk:
         assert small_chunks == guessed
 
 
+class TestLongWalk:
+    # A directed graph of walk-train's size (300 nodes, 1200 arcs) at t = 5
+    # and L = 2^21 with one worker and the default burn-in: two full chunks
+    # of uniforms and a short third one.
+    GRAPH = random_strongly_connected_digraph(300, seed=21, extra_edges=900)
+    CONFIG = default_sampler_config(GRAPH, window=5, centers=1 << 21)
+
+    def test_exact_pass_walks_few_steps(self, monkeypatch):
+        # With the lead-in, guesses have mostly met the walk before their
+        # segment begins, so the exact pass walks little beyond each chunk's
+        # first segment.
+        walked = []
+        for name in ("_step", "_step_to_guess"):
+            def spy(*args, step=getattr(sampling, name)):
+                path = step(*args)
+                walked.append(len(path))
+                return path
+            monkeypatch.setattr(sampling, name, spy)
+        walk = generate_walk(self.GRAPH, self.CONFIG)
+        assert walk.nodes.dtype == np.int32
+        assert 0 < sum(walked) <= 0.03 * (len(walk) - 1)
+
+    def test_sample_memory_is_bounded_per_walk_step(self):
+        # The int32 walk (4 bytes a step) and one chunk of float64 uniforms,
+        # with 4 MiB for everything else. The pair codes of one block (16
+        # bytes a center, 4 MiB) are built after the uniforms are freed.
+        tracemalloc.start()
+        try:
+            sample_counts(self.GRAPH, self.CONFIG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * self.CONFIG.centers + 8 * sampling._WALK_CHUNK + 4 * 2**20
+
+
+def _reference_pairs(nodes, n, window, directed, burn_in, centers):
+    """Pair counts one (center, offset) at a time."""
+    mat = np.zeros((n, n), dtype=np.int64)
+    for i in range(burn_in, burn_in + centers):
+        for offset in range(1, window + 1):
+            mat[nodes[i], nodes[i + offset]] += 1
+            if not directed:
+                mat[nodes[i + offset], nodes[i]] += 1
+    return mat
+
+
 class TestExtractPairs:
+    @pytest.mark.parametrize("block", [1 << 18, 7], ids=["one-block", "blocks"])
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    @pytest.mark.parametrize("window, burn_in", [(1, 0), (4, 11)])
+    def test_matches_pair_by_pair_reference(self, monkeypatch, block, dtype, directed,
+                                            window, burn_in):
+        # With blocks of max(7, n*n) = 9 centers, 100 centers make eleven full
+        # blocks and a partial one, and every window of 4 crosses a block edge.
+        monkeypatch.setattr(sampling, "_PAIR_BLOCK", block)
+        n, centers = 3, 100
+        nodes = np.random.default_rng(window).integers(0, n, burn_in + centers + window)
+        walk = Walk(nodes=nodes.astype(dtype), n=n, seed=0)
+        counts = extract_pairs(walk, window, directed, burn_in, centers)
+        assert counts.dense.tolist() == _reference_pairs(nodes.tolist(), n, window, directed,
+                                                         burn_in, centers).tolist()
+
     def test_hand_enumeration_undirected(self):
         walk = Walk(nodes=np.array([0, 1, 0, 1]), n=2, seed=0)
         counts = extract_pairs(walk, window=1, directed=False, burn_in=0, centers=3)
