@@ -18,6 +18,7 @@ import json
 import sys
 import time
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,14 @@ from .factorization import (
     singular_values,
     write_embedding_matrix,
 )
-from .graphs import EdgeListError, GraphStructureError, load_edge_list, stationary_distribution
+from .graphs import (
+    EdgeListError,
+    GraphStructureError,
+    load_edge_list,
+    stationary_distribution,
+    transition_matrix,
+)
+from .parallel import run_jobs
 from .sampling import (
     SamplerConfig,
     default_sampler_config,
@@ -152,21 +160,28 @@ def _build_target(config, p, pi=None):
                              epsilon=config["epsilon"])
 
 
+def _closed_forms(g, window: int, with_pi: bool = True):
+    """The walk matrix and, if asked, pi, from one transition matrix."""
+    a = transition_matrix(g)
+    pi = stationary_distribution(g, a) if with_pi else None
+    return walk_probability_matrix(g, window, a), pi
+
+
 def run_exact(config: dict, out_dir: Path) -> list[str]:
     g = load_edge_list(config["input"], directed=config["directed"])
-    p = walk_probability_matrix(g, config["window"])
-    pi = stationary_distribution(g)
+    p, pi = _closed_forms(g, config["window"])
     target = _build_target(config, p, pi)
 
     fmt = config["format"]
-    outputs = [
-        _write_matrix(p.probs, out_dir, "walk_matrix", fmt, {"window": p.window}),
-        _write_matrix(target.values, out_dir, "target", fmt, target.metadata()),
-        _write_vector(pi, out_dir, "stationary", fmt),
+    # Each file is one job; run_jobs writes them side by side.
+    jobs = [
+        partial(_write_matrix, p.probs, out_dir, "walk_matrix", fmt, {"window": p.window}),
+        partial(_write_matrix, target.values, out_dir, "target", fmt, target.metadata()),
+        partial(_write_vector, pi, out_dir, "stationary", fmt),
     ]
     if target.mask is not None:
-        outputs.append(_write_matrix(target.mask.astype(int), out_dir, "target_mask", fmt))
-    return outputs
+        jobs.append(lambda: _write_matrix(target.mask.astype(int), out_dir, "target_mask", fmt))
+    return list(run_jobs(jobs))
 
 
 def run_sample(config: dict, out_dir: Path) -> list[str]:
@@ -194,8 +209,7 @@ def run_compare(config: dict, out_dir: Path) -> list[str]:
     if counts.n != g.n:
         raise ValueError(f"counts cover {counts.n} nodes but the graph has {g.n}")
 
-    p = walk_probability_matrix(g, config["window"])
-    pi = stationary_distribution(g)
+    p, pi = _closed_forms(g, config["window"])
     k = config["negatives"]
     # Mask policy on both PMI sides keeps the comparison on pairs both can see.
     sampled = sgns_target_from_counts(counts, k=k, zero_policy="mask")
@@ -221,8 +235,7 @@ def run_embed(config: dict, out_dir: Path) -> list[str]:
     g = load_edge_list(config["input"], directed=config["directed"])
     if config["dim"] > g.n:
         raise UsageError(f"embedding dimension {config['dim']} exceeds node count {g.n}")
-    p = walk_probability_matrix(g, config["window"])
-    pi = stationary_distribution(g) if config["target"] == "sgns" else None
+    p, pi = _closed_forms(g, config["window"], with_pi=config["target"] == "sgns")
     target = _build_target(config, p, pi)
     pair = factorize(target, config["dim"], split=config["split"])
     error = reconstruction_error(target, pair)

@@ -8,7 +8,7 @@ one "u v" pair per line, '#' lines are comments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, TextIO, Union
+from typing import Iterable, Optional, TextIO, Union
 
 import numpy as np
 
@@ -242,7 +242,7 @@ def require_connected(g: Graph) -> None:
 MAX_POWER_ITERATIONS = 500_000
 
 
-def stationary_distribution(g: Graph) -> np.ndarray:
+def stationary_distribution(g: Graph, transition: Optional[np.ndarray] = None) -> np.ndarray:
     """Long-run visit frequencies of the uniform random walk.
 
     Undirected graphs use the closed form degree/(2|E|). Directed graphs run
@@ -250,14 +250,15 @@ def stationary_distribution(g: Graph) -> np.ndarray:
     with the mean of itself and its one-step push-forward, which has the same
     fixed point as the plain chain but converges even when the chain is
     periodic. Iteration stops when successive averages differ by < 1e-12 in
-    max norm.
+    max norm. It runs on `transition`, g's transition_matrix, when the
+    caller has built it already, and otherwise builds its own.
     """
     require_connected(g)
     if not g.directed:
         deg = g.degrees.astype(float)
         return deg / deg.sum()
 
-    mat = transition_matrix(g)
+    mat = transition_matrix(g) if transition is None else transition
     x = np.full(g.n, 1.0 / g.n)
     for _ in range(MAX_POWER_ITERATIONS):
         nxt = 0.5 * (x + x @ mat)

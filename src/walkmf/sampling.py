@@ -1,7 +1,9 @@
 """Random-walk co-occurrence sampling.
 
-One long walk is generated per worker; every position in the center range
-emits its following `window` positions as (center, context) pairs, and for
+One long walk is generated per worker, the workers' walks side by side
+on the machine's cores (one in this process, the others in forked children,
+see parallel.run_jobs); every position in the center range emits its
+following `window` positions as (center, context) pairs, and for
 undirected emission the mirrored (context, center) pair as well. A long
 walk is stepped in segments: NumPy first guesses every segment from a
 common start node in lockstep, each guess walker starting a quarter segment
@@ -12,7 +14,8 @@ the two agree, so the walk is the same as stepping it one position at a time.
 Memory is bounded per walk step, not per pair: the walk is int32 (4 bytes
 a step) whenever the node ids fit, its uniforms are drawn into one reused
 buffer of _WALK_CHUNK floats, pairs are counted a block of centers at a
-time, and each worker's walk is freed before the next one is generated.
+time, and a process frees each walk it counts before it generates another.
+The workers' counts are summed into one running total as they arrive.
 
 Counts are accumulated exactly (integer arithmetic throughout) into one
 dense n x n int64 matrix, the only representation of counts; the marginals
@@ -25,11 +28,13 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from functools import partial
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .graphs import Graph, require_connected, stationary_distribution
+from .parallel import run_jobs
 
 START_MODES = ("stationary", "uniform", "fixed")
 
@@ -151,6 +156,11 @@ class CooccurrenceCounts:
         object.__setattr__(self, "context_counts", mat.sum(axis=0))
         object.__setattr__(self, "total", int(self.node_counts.sum()))
 
+    def __reduce__(self):
+        # Pickled as the matrix alone (a forked worker sends its counts this
+        # way), so unpickling runs the checks again and dense stays read-only.
+        return (CooccurrenceCounts, (self.dense,))
+
     @classmethod
     def from_matrix(cls, mat) -> "CooccurrenceCounts":
         return cls(mat)
@@ -166,16 +176,24 @@ class CooccurrenceCounts:
         return np.array_equal(self.dense, self.dense.T)
 
 
-def merge_counts(parts: list[CooccurrenceCounts]) -> CooccurrenceCounts:
-    """Sum count sets over the same node set (order-independent)."""
-    if not parts:
+def merge_counts(parts: Iterable[CooccurrenceCounts]) -> CooccurrenceCounts:
+    """Sum count sets over the same node set (order-independent).
+
+    `parts` may be any iterable, such as a generator that makes each part
+    on demand: one running total is kept and each part is let go before
+    the next is drawn, so the sum holds two n x n matrices at a time.
+    """
+    total = None
+    for part in parts:
+        if total is None:
+            total = part.dense.copy()
+        elif part.n != len(total):
+            raise ValueError("cannot merge counts over different node sets")
+        else:
+            total += part.dense
+        del part
+    if total is None:
         raise ValueError("nothing to merge")
-    n = parts[0].n
-    if any(p.n != n for p in parts):
-        raise ValueError("cannot merge counts over different node sets")
-    total = np.zeros((n, n), dtype=np.int64)
-    for p in parts:
-        total += p.dense
     return CooccurrenceCounts(total)
 
 
@@ -340,29 +358,32 @@ def _worker_seed(seed: int, worker: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=(worker,)).generate_state(1, np.uint64)[0])
 
 
+def _count_walk(g: Graph, cfg: SamplerConfig) -> CooccurrenceCounts:
+    return extract_pairs(generate_walk(g, cfg), cfg.window, g.directed, cfg.burn_in, cfg.centers)
+
+
 def sample_counts(g: Graph, cfg: SamplerConfig) -> CooccurrenceCounts:
     """Generate walk(s) and accumulate windowed pair counts.
 
     With workers > 1, the center budget is split across workers, each worker
     runs its own walk from a seed mixed out of (cfg.seed, worker index), and
-    the partial counts are summed. Deterministic given (seed, workers).
-    Each walk goes straight to extract_pairs and is freed before the next
-    one is generated, so at most one walk is held at a time.
+    the partial counts are summed. Deterministic given (seed, workers), on
+    any number of cores. The workers' walks run concurrently, up to one per
+    core (see parallel.run_jobs): this process walks one and forked children
+    the others. Each walk goes straight to extract_pairs and is freed
+    before the process walks another, and merge_counts adds each worker's
+    counts to one running total as they arrive, so this process holds one
+    walk, the counts being made from it and the total.
     """
     if cfg.workers == 1:
-        walk = generate_walk(g, cfg)
-        return extract_pairs(walk, cfg.window, g.directed, cfg.burn_in, cfg.centers)
+        return _count_walk(g, cfg)
 
     base, extra = divmod(cfg.centers, cfg.workers)
-    parts = []
-    for w in range(cfg.workers):
-        chunk = base + (1 if w < extra else 0)
-        if chunk == 0:
-            continue
-        sub = replace(cfg, centers=chunk, seed=_worker_seed(cfg.seed, w), workers=1)
-        parts.append(extract_pairs(generate_walk(g, sub), sub.window, g.directed, sub.burn_in,
-                                   sub.centers))
-    return merge_counts(parts)
+    # Workers beyond the first `centers` would get no centers, so they do not run.
+    jobs = [partial(_count_walk, g, replace(cfg, centers=base + (w < extra),
+                                            seed=_worker_seed(cfg.seed, w), workers=1))
+            for w in range(min(cfg.workers, cfg.centers))]
+    return merge_counts(run_jobs(jobs))
 
 
 def empirical_conditional(counts: CooccurrenceCounts) -> np.ndarray:

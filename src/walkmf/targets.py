@@ -78,11 +78,13 @@ class ComparisonReport:
         }
 
 
-def walk_probability_matrix(g: Graph, window: int) -> WalkMatrix:
-    """Accumulate (A + A^2 + ... + A^t)/t by iterated multiplication."""
+def walk_probability_matrix(g: Graph, window: int,
+                            transition: Optional[np.ndarray] = None) -> WalkMatrix:
+    """Accumulate (A + A^2 + ... + A^t)/t by iterated multiplication, from
+    `transition` = A = transition_matrix(g) if the caller has built it."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    mat = transition_matrix(g)
+    mat = transition_matrix(g) if transition is None else transition
     acc = mat.copy()
     power = mat
     for _ in range(window - 1):

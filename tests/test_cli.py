@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import walkmf.cli
+import walkmf.graphs
 import walkmf.targets
 from walkmf import (
     CooccurrenceCounts,
@@ -466,6 +467,35 @@ class TestClosedFormsBuiltOnce:
         assert main(argv + ["-i", str(path_graph_file), "-t", "2",
                             "-o", str(tmp_path / "out")]) == 0
         assert calls == {"walk_probability_matrix": 1, "stationary_distribution": pi_calls}
+
+
+class TestTransitionMatrixBuiltOnce:
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--target", "sgns"],
+        ["compare", "-k", "1"],
+        ["embed", "--target", "sgns", "-d", "2"],
+    ], ids=["exact", "compare", "embed"])
+    def test_directed_commands_build_one_transition_matrix(self, tmp_path, monkeypatch, argv):
+        # Directed pi runs on the transition matrix the walk matrix is built from.
+        graph = tmp_path / "cycle.edges"
+        graph.write_text("0 1\n1 2\n2 0\n2 1\n")
+        calls = []
+        original = walkmf.graphs.transition_matrix
+
+        def counted(g):
+            calls.append(g.n)
+            return original(g)
+
+        for module in (walkmf.cli, walkmf.graphs, walkmf.targets):
+            monkeypatch.setattr(module, "transition_matrix", counted)
+        if argv[0] == "compare":
+            counts = CooccurrenceCounts.from_matrix(np.array([[0, 2, 1], [2, 0, 3], [1, 3, 0]]))
+            write_counts_csv(counts, tmp_path / "c.csv")
+            write_counts_sidecar(counts, tmp_path / "c.json")
+            argv = argv + ["--counts", str(tmp_path / "c.csv")]
+        assert main(argv + ["-i", str(graph), "--directed", "-t", "2",
+                            "-o", str(tmp_path / "out")]) == 0
+        assert calls == [3]
 
 
 class TestUsageErrors:

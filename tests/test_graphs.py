@@ -213,6 +213,11 @@ class TestStationaryDistribution:
         assert is_probability_vector(pi, tol=1e-9)
         assert np.max(np.abs(pi @ transition_matrix(g) - pi)) < 1e-10
 
+    def test_directed_given_transition_matrix_gives_the_same_bytes(self):
+        g = random_strongly_connected_digraph(30, seed=4)
+        pi = stationary_distribution(g)
+        assert stationary_distribution(g, transition_matrix(g)).tobytes() == pi.tobytes()
+
     def test_directed_periodic_chain_converges(self):
         # Period-2 chain (bipartite between {0,1} and {2,3}) with non-uniform
         # stationary law: plain power iteration oscillates forever, the

@@ -1,4 +1,6 @@
 import hashlib
+import os
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -241,6 +243,24 @@ class TestLongWalk:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * self.CONFIG.centers + 8 * sampling._WALK_CHUNK + 4 * 2**20
+
+    @pytest.mark.parametrize("cores", [1, 2], ids=["in-process", "forked"])
+    def test_workers_hold_two_count_matrices(self, monkeypatch, cores):
+        # Four workers on n = 1000 (7.6 MiB a count matrix): the running
+        # total and one worker's counts, besides the per-walk bound above.
+        # Keeping every worker's counts until all are done would take five.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        g = random_connected_graph(1000, seed=8)
+        cfg = SamplerConfig(window=5, centers=40_000, seed=3, workers=4)
+        tracemalloc.start()
+        try:
+            sample_counts(g, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_walk = 4 * cfg.centers + 8 * sampling._WALK_CHUNK + 4 * 2**20
+        assert peak <= 2 * 8 * g.n ** 2 + per_walk
 
 
 def _reference_pairs(nodes, n, window, directed, burn_in, centers):
@@ -529,3 +549,18 @@ class TestCountsValidation:
         a = CooccurrenceCounts.from_matrix(np.array([[0, 1], [2, 0]]))
         b = CooccurrenceCounts.from_matrix(np.array([[3, 0], [1, 1]]))
         assert merge_counts([a, b]).dense.tolist() == [[3, 1], [3, 1]]
+
+    def test_merge_takes_a_generator_and_leaves_its_parts_alone(self):
+        parts = [CooccurrenceCounts.from_matrix(np.array([[0, 1], [2, 0]])) for _ in range(3)]
+        assert merge_counts(p for p in parts).dense.tolist() == [[0, 3], [6, 0]]
+        assert [p.total for p in parts] == [3, 3, 3]
+        with pytest.raises(ValueError, match="nothing"):
+            merge_counts(iter(()))
+
+    def test_pickle_round_trip_stays_read_only_and_checked(self):
+        counts = CooccurrenceCounts.from_matrix(np.array([[0, 2], [5, 1]]))
+        back = pickle.loads(pickle.dumps(counts, protocol=pickle.HIGHEST_PROTOCOL))
+        assert back.dense.tolist() == [[0, 2], [5, 1]]
+        assert (back.total, back.node_counts.tolist()) == (8, [2, 6])
+        with pytest.raises(ValueError):
+            back.dense[0, 0] = 1
