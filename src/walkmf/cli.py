@@ -211,17 +211,20 @@ def run_compare(config: dict, out_dir: Path) -> list[str]:
 
     p, pi = _closed_forms(g, config["window"])
     k = config["negatives"]
+    # Each n x n array is let go as soon as its comparisons are done: the
+    # counts, P and one more are the most held between steps.
+    conditional = compare_matrices(empirical_conditional(counts), p.probs)
+    frequency = compare_matrices(empirical_frequency(counts), pi)
     # Mask policy on both PMI sides keeps the comparison on pairs both can see.
-    sampled = sgns_target_from_counts(counts, k=k, zero_policy="mask")
     exact = sgns_target_exact(p, pi, k=k, zero_policy="mask")
+    del p
+    sampled = sgns_target_from_counts(counts, k=k, zero_policy="mask")
+    del counts
 
     report = {
-        "conditional_vs_walk_matrix": compare_matrices(
-            empirical_conditional(counts), p.probs).to_dict(),
-        "frequency_vs_stationary": compare_matrices(
-            empirical_frequency(counts), pi).to_dict(),
-        "sgns_counts_vs_exact": compare_matrices(
-            sampled.values, exact.values).to_dict(),
+        "conditional_vs_walk_matrix": conditional.to_dict(),
+        "frequency_vs_stationary": frequency.to_dict(),
+        "sgns_counts_vs_exact": compare_matrices(sampled.values, exact.values).to_dict(),
         "window": config["window"],
         "negatives": k,
     }
@@ -237,6 +240,7 @@ def run_embed(config: dict, out_dir: Path) -> list[str]:
         raise UsageError(f"embedding dimension {config['dim']} exceeds node count {g.n}")
     p, pi = _closed_forms(g, config["window"], with_pi=config["target"] == "sgns")
     target = _build_target(config, p, pi)
+    del p, pi  # the decompositions below need only the target
     pair = factorize(target, config["dim"], split=config["split"])
     error = reconstruction_error(target, pair)
     spectrum = singular_values(target)

@@ -68,7 +68,9 @@ def _is_symmetric(mat: np.ndarray) -> bool:
     if mat.shape[1] != n:
         return False
     tol = n * np.finfo(float).eps * np.abs(mat).max()
-    return bool(np.abs(mat - mat.T).max() <= tol)
+    asymmetry = mat - mat.T
+    np.abs(asymmetry, out=asymmetry)
+    return bool(asymmetry.max() <= tol)
 
 
 def _symmetric_triplets(mat: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -133,10 +135,12 @@ def factorize(m, d: int, split: str = "symmetric") -> EmbeddingPair:
 def reconstruction_error(m, pair: EmbeddingPair) -> float:
     """Frobenius norm of (target - w h^T)."""
     mat = _as_array(m)
-    approx = pair.w @ pair.h.T
-    if approx.shape != mat.shape:
-        raise ValueError(f"shape mismatch: target {mat.shape}, product {approx.shape}")
-    return float(np.linalg.norm(mat - approx))
+    residual = pair.w @ pair.h.T
+    if residual.shape != mat.shape:
+        raise ValueError(f"shape mismatch: target {mat.shape}, product {residual.shape}")
+    # w h^T - target is exactly -(target - w h^T), and the norm squares it.
+    residual -= mat
+    return float(np.linalg.norm(residual))
 
 
 def singular_values(m) -> np.ndarray:

@@ -394,8 +394,7 @@ def empirical_conditional(counts: CooccurrenceCounts) -> np.ndarray:
     """
     out = np.full((counts.n, counts.n), np.nan)
     observed = counts.node_counts > 0
-    dense = counts.dense.astype(float)
-    out[observed] = dense[observed] / counts.node_counts[observed, None]
+    np.divide(counts.dense, counts.node_counts[:, None], out=out, where=observed[:, None])
     return out
 
 
@@ -484,7 +483,8 @@ def read_counts_csv(path, sidecar_path) -> tuple[CooccurrenceCounts, Optional[Sa
         raise ValueError(f"{path}: node id outside 0..{n - 1}")
     if np.any(cnt < 0):
         raise ValueError(f"{path}: negative count")
-    codes = np.sort(v * n + c)
+    codes = v * n + c
+    codes.sort()
     if np.any(codes[1:] == codes[:-1]):
         raise ValueError(f"{path}: repeated (v, c) row")
     mat = np.zeros((n, n), dtype=np.int64)

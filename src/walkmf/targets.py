@@ -21,6 +21,7 @@ from .sampling import CooccurrenceCounts
 ZERO_POLICIES = ("floor", "truncate", "mask")
 BIAS_MODES = ("zero", "log2t")
 DEFAULT_EPSILON = 1e-12
+_DENOM_BLOCK = 1 << 16  # entries of the SGNS denominator made at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,20 +102,30 @@ def _check_policy(zero_policy: str, epsilon: float) -> None:
 
 
 def _log_with_policy(raw: np.ndarray, zero_policy: str, epsilon: float) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Elementwise log of a non-negative matrix with zeros resolved by policy.
+    """Elementwise log of a non-negative matrix with zeros resolved by policy,
+    computed in place: `raw`, an array the caller owns, is overwritten and
+    returned as the values.
 
     floor: zero entries become log(epsilon). truncate: entries are clamped
     below at 0 (zeros land at 0). mask: zero entries are NaN and flagged in
-    the returned mask.
+    the returned mask. Besides `raw`, the only temporaries are two boolean
+    masks and one array of the positive entries.
     """
     positive = raw > 0
-    logs = np.full(raw.shape, -np.inf)
-    logs[positive] = np.log(raw[positive])
+    logs = raw[positive]
+    np.log(logs, out=logs)
+    raw[positive] = logs
+    del logs
+    zero = ~positive
     if zero_policy == "floor":
-        return np.where(positive, logs, np.log(epsilon)), None
+        raw[zero] = np.log(epsilon)
+        return raw, None
     if zero_policy == "truncate":
-        return np.maximum(logs, 0.0), None
-    return np.where(positive, logs, np.nan), ~positive
+        raw[zero] = 0.0
+        np.maximum(raw, 0.0, out=raw)
+        return raw, None
+    raw[zero] = np.nan
+    return raw, zero
 
 
 def softmax_target(p: WalkMatrix, bias_mode: str = "zero", zero_policy: str = "floor",
@@ -129,7 +140,8 @@ def softmax_target(p: WalkMatrix, bias_mode: str = "zero", zero_policy: str = "f
     if bias_mode not in BIAS_MODES:
         raise ValueError(f"bias_mode must be one of {BIAS_MODES}, got {bias_mode!r}")
     _check_policy(zero_policy, epsilon)
-    raw = p.probs if bias_mode == "zero" else 2.0 * p.window * p.probs
+    # _log_with_policy writes into raw, so p.probs itself must not be passed.
+    raw = p.probs.copy() if bias_mode == "zero" else 2.0 * p.window * p.probs
     values, mask = _log_with_policy(raw, zero_policy, epsilon)
     return TargetMatrix(values=values, kind="softmax", zero_policy=zero_policy,
                         epsilon=epsilon, bias_mode=bias_mode, window=p.window, mask=mask)
@@ -156,9 +168,15 @@ def sgns_target_from_counts(counts: CooccurrenceCounts, k: int = 1,
     _check_policy(zero_policy, epsilon)
     if counts.total == 0:
         raise ValueError("counts are empty")
-    joint = counts.dense.astype(float)
-    denom = k * np.outer(counts.node_counts, counts.context_counts).astype(float)
-    raw = np.divide(joint * counts.total, denom, out=np.zeros_like(joint), where=denom > 0)
+    raw = counts.dense.astype(float)
+    raw *= counts.total
+    # The denominator k #(i) #(j) (the int64 product, then a float) is made a
+    # block of rows at a time, so raw is the only n x n array built here.
+    rows_per_block = max(1, _DENOM_BLOCK // counts.n)
+    for lo in range(0, counts.n, rows_per_block):
+        rows = slice(lo, lo + rows_per_block)
+        denom = k * np.outer(counts.node_counts[rows], counts.context_counts).astype(float)
+        np.divide(raw[rows], denom, out=raw[rows], where=denom > 0)
     values, mask = _log_with_policy(raw, zero_policy, epsilon)
     absent = counts.node_counts == 0
     values[absent, :] = np.nan
@@ -201,7 +219,9 @@ def compare_matrices(x: np.ndarray, y: np.ndarray,
     excluded = x.size - compared
     if compared == 0:
         return ComparisonReport(max_abs=0.0, mean_abs=0.0, compared=0, excluded=excluded)
-    diff = np.abs(x[valid] - y[valid])
+    diff = x[valid]
+    diff -= y[valid]
+    np.abs(diff, out=diff)
     return ComparisonReport(max_abs=float(diff.max()), mean_abs=float(diff.mean()),
                             compared=compared, excluded=excluded)
 

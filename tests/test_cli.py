@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 import walkmf.cli
 import walkmf.graphs
 import walkmf.targets
+from graphgen import random_connected_graph
 from walkmf import (
     CooccurrenceCounts,
     TrainConfig,
@@ -230,6 +232,38 @@ class TestCompare:
         report = json.loads((out / "comparison.json").read_text())
         assert report["conditional_vs_walk_matrix"]["max_abs"] < 0.01
         assert report["frequency_vs_stationary"]["max_abs"] < 0.01
+
+    def test_holds_six_matrices_at_most(self, tmp_path):
+        # At n = 600 one n x n float array is 8n^2 = 2.7 MiB. Counts, P, the
+        # conditional and both PMI targets, each kept until the end with
+        # fresh temporaries around every step, peaked at ~8.4 of them.
+        n = 600
+        graph_path = tmp_path / "g.edges"
+        graph_path.write_text("".join(f"{u} {v}\n" for u, v in random_connected_graph(n, 3).edges))
+        rng = np.random.default_rng(4)
+        counts = CooccurrenceCounts.from_matrix(
+            rng.integers(1, 20, (n, n)) * (rng.random((n, n)) < 0.3))
+        write_counts_csv(counts, tmp_path / "counts.csv")
+        write_counts_sidecar(counts, tmp_path / "counts.json")
+        del counts
+        tracemalloc.start()
+        try:
+            code = main(["compare", "-i", str(graph_path), "--counts", str(tmp_path / "counts.csv"),
+                         "-o", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 6 * 8 * n ** 2
+
+    def test_empty_counts_exit_2(self, tmp_path, path_graph_file, capsys):
+        counts = CooccurrenceCounts.from_matrix(np.zeros((3, 3), dtype=np.int64))
+        write_counts_csv(counts, tmp_path / "empty.csv")
+        write_counts_sidecar(counts, tmp_path / "empty.json")
+        code = main(["compare", "-i", str(path_graph_file), "--counts", str(tmp_path / "empty.csv"),
+                     "-t", "2", "-o", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == "walkmf: error: counts are empty\n"
 
     def test_mismatched_graph_exits_2(self, tmp_path, capsys):
         counts_csv = _analytic_path_counts(tmp_path)

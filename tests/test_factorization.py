@@ -233,6 +233,15 @@ class TestReconstructionError:
         with pytest.raises(ValueError, match="shape"):
             reconstruction_error(np.eye(3), pair)
 
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["svd", "eigh"])
+    def test_same_bits_as_norm_of_target_minus_product(self, symmetric):
+        mat = _random_matrix(7, n=40, symmetric=symmetric)
+        before = mat.copy()
+        pair = factorize(mat, d=5)
+        expected = float(np.linalg.norm(mat - pair.w @ pair.h.T))
+        assert reconstruction_error(mat, pair) == expected
+        assert mat.tobytes() == before.tobytes()
+
 
 class TestSingularValues:
     def test_full_spectrum(self):

@@ -1,15 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import walkmf.targets
 from graphgen import cycle, k2, path3, random_connected_graph, triangle
 from walkmf import (
     CooccurrenceCounts,
     SamplerConfig,
     compare_matrices,
+    empirical_conditional,
     expected_neighbor_counts,
     read_matrix_csv,
     sample_counts,
@@ -255,6 +258,171 @@ class TestCompareMatrices:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             compare_matrices(np.eye(2), np.eye(3))
+
+
+# The straightforward formulas each builder computes, written out with fresh
+# arrays. The builders work in place and must give the same bits.
+def _reference_log(raw, zero_policy, epsilon):
+    positive = raw > 0
+    logs = np.full(raw.shape, -np.inf)
+    logs[positive] = np.log(raw[positive])
+    if zero_policy == "floor":
+        return np.where(positive, logs, np.log(epsilon)), None
+    if zero_policy == "truncate":
+        return np.maximum(logs, 0.0), None
+    return np.where(positive, logs, np.nan), ~positive
+
+
+def _reference_softmax(p, bias_mode, zero_policy):
+    raw = p.probs if bias_mode == "zero" else 2.0 * p.window * p.probs
+    return _reference_log(raw, zero_policy, EPS)
+
+
+def _reference_exact(p, pi, k, zero_policy):
+    return _reference_log(p.probs / (k * pi[None, :]), zero_policy, EPS)
+
+
+def _reference_from_counts(counts, k, zero_policy):
+    joint = counts.dense.astype(float)
+    denom = k * np.outer(counts.node_counts, counts.context_counts).astype(float)
+    raw = np.divide(joint * counts.total, denom, out=np.zeros_like(joint), where=denom > 0)
+    values, mask = _reference_log(raw, zero_policy, EPS)
+    values[counts.node_counts == 0, :] = np.nan
+    return values, mask
+
+
+def _reference_conditional(counts):
+    out = np.full((counts.n, counts.n), np.nan)
+    observed = counts.node_counts > 0
+    dense = counts.dense.astype(float)
+    out[observed] = dense[observed] / counts.node_counts[observed, None]
+    return out
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _matches_reference(target, values, mask):
+    if (target.mask is None) != (mask is None):
+        return False
+    return _same_bits(target.values, values) and (mask is None or _same_bits(target.mask, mask))
+
+
+def _sparse_walk_matrix():
+    # Window 2 on a sparse graph leaves many zero probabilities.
+    g = random_connected_graph(40, 5, extra_edges=4)
+    return walk_probability_matrix(g, 2), stationary_distribution(g)
+
+
+def _counts_with_absent_node(n=40, seed=6):
+    # Zeros scattered through the counts, plus node 3 never seen as a center
+    # and node 7 never seen as a context.
+    rng = np.random.default_rng(seed)
+    mat = rng.integers(0, 50, (n, n)) * (rng.random((n, n)) < 0.4)
+    mat[3, :] = 0
+    mat[:, 7] = 0
+    return CooccurrenceCounts.from_matrix(mat)
+
+
+class TestBuildersMatchReferenceBitwise:
+    @pytest.mark.parametrize("zero_policy", ["floor", "truncate", "mask"])
+    @pytest.mark.parametrize("bias_mode", ["zero", "log2t"])
+    def test_softmax_target(self, bias_mode, zero_policy):
+        p, _ = _sparse_walk_matrix()
+        probs = p.probs.copy()
+        target = softmax_target(p, bias_mode, zero_policy, EPS)
+        values, mask = _reference_softmax(p, bias_mode, zero_policy)
+        assert _matches_reference(target, values, mask)
+        assert _same_bits(p.probs, probs)
+        assert not np.shares_memory(target.values, p.probs)
+
+    @pytest.mark.parametrize("zero_policy", ["floor", "truncate", "mask"])
+    def test_sgns_target_exact(self, zero_policy):
+        p, pi = _sparse_walk_matrix()
+        probs, pi_before = p.probs.copy(), pi.copy()
+        target = sgns_target_exact(p, pi, k=3, zero_policy=zero_policy, epsilon=EPS)
+        values, mask = _reference_exact(p, pi, 3, zero_policy)
+        assert _matches_reference(target, values, mask)
+        assert _same_bits(p.probs, probs) and _same_bits(pi, pi_before)
+
+    @pytest.mark.parametrize("block", [1 << 16, 7], ids=["one-block", "blocks"])
+    @pytest.mark.parametrize("zero_policy", ["floor", "truncate", "mask"])
+    def test_sgns_target_from_counts(self, monkeypatch, zero_policy, block):
+        # Blocks of 7 // 40 -> one row each exercise the row-block loop.
+        monkeypatch.setattr(walkmf.targets, "_DENOM_BLOCK", block)
+        counts = _counts_with_absent_node()
+        dense = counts.dense.copy()
+        target = sgns_target_from_counts(counts, k=2, zero_policy=zero_policy, epsilon=EPS)
+        values, mask = _reference_from_counts(counts, 2, zero_policy)
+        assert _matches_reference(target, values, mask)
+        assert _same_bits(counts.dense, dense)
+
+    def test_empirical_conditional(self):
+        counts = _counts_with_absent_node()
+        dense = counts.dense.copy()
+        assert _same_bits(empirical_conditional(counts), _reference_conditional(counts))
+        assert _same_bits(counts.dense, dense)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_compare_matrices(self, masked):
+        counts = _counts_with_absent_node()
+        p, _ = _sparse_walk_matrix()
+        x, y = empirical_conditional(counts), p.probs
+        x_before, y_before = x.copy(), y.copy()
+        mask = (np.arange(40)[:, None] + np.arange(40)) % 3 == 0 if masked else None
+        report = compare_matrices(x, y, mask=mask)
+        valid = np.isfinite(x) & np.isfinite(y)
+        if masked:
+            valid &= ~mask
+        diff = np.abs(x[valid] - y[valid])
+        assert (report.max_abs, report.mean_abs) == (float(diff.max()), float(diff.mean()))
+        assert report.compared == int(valid.sum())
+        assert _same_bits(x, x_before) and _same_bits(y, y_before)
+
+
+class TestBuilderWorkingSet:
+    """Each builder holds, besides its inputs, one n x n float array, two
+    boolean masks over it and one array of its positive entries (the SGNS
+    denominator adds one block of rows). Building each intermediate as a
+    fresh n x n array took three or more."""
+
+    N = 600
+
+    def _bound(self, npos, extra=0):
+        n2 = self.N ** 2
+        return 8 * n2 + 2 * n2 + 8 * npos + extra + 64 * 1024
+
+    @staticmethod
+    def _peak(build):
+        tracemalloc.start()
+        try:
+            target = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return target, peak
+
+    def _sparse_inputs(self):
+        g = random_connected_graph(self.N, 2, extra_edges=60)
+        return walk_probability_matrix(g, 2), stationary_distribution(g)
+
+    @pytest.mark.parametrize("bias_mode", ["zero", "log2t"])
+    def test_softmax_target(self, bias_mode):
+        p, _ = self._sparse_inputs()
+        target, peak = self._peak(lambda: softmax_target(p, bias_mode, "mask"))
+        assert peak <= self._bound(int((~target.mask).sum()))
+
+    def test_sgns_target_exact(self):
+        p, pi = self._sparse_inputs()
+        target, peak = self._peak(lambda: sgns_target_exact(p, pi, k=5, zero_policy="mask"))
+        assert peak <= self._bound(int((~target.mask).sum()))
+
+    def test_sgns_target_from_counts(self):
+        counts = _counts_with_absent_node(self.N)
+        target, peak = self._peak(lambda: sgns_target_from_counts(counts, k=5, zero_policy="mask"))
+        block = 17 * walkmf.targets._DENOM_BLOCK  # int64 product, its float, its mask
+        assert peak <= self._bound(int((~target.mask).sum()), block)
 
 
 class TestMatrixIO:
