@@ -35,6 +35,7 @@ from .graphs import (
     EdgeListError,
     GraphStructureError,
     load_edge_list,
+    require_connected,
     stationary_distribution,
     transition_matrix,
 )
@@ -161,9 +162,16 @@ def _build_target(config, p, pi=None):
 
 
 def _closed_forms(g, window: int, with_pi: bool = True):
-    """The walk matrix and, if asked, pi, from one transition matrix."""
+    """The walk matrix and, if asked, pi, from one transition matrix.
+
+    Building pi checks connectivity. Without pi, an undirected graph is
+    checked all the same; a directed one needs only the out-edges P is
+    built from.
+    """
     a = transition_matrix(g)
     pi = stationary_distribution(g, a) if with_pi else None
+    if not with_pi and not g.directed:
+        require_connected(g)
     return walk_probability_matrix(g, window, a), pi
 
 
@@ -343,16 +351,33 @@ def execute(command: str, config: dict, out_dir: Path) -> Path:
     return manifest_path
 
 
+def _manifest_parts(manifest, manifest_path):
+    """The command, config and inputs a manifest records, or a ValueError
+    naming the manifest and the part that is missing or of the wrong type."""
+    if not isinstance(manifest, dict):
+        raise ValueError(f"manifest {manifest_path}: expected a JSON object, "
+                         f"got {type(manifest).__name__}")
+    command, config, inputs = (manifest.get(key) for key in ("command", "config", "inputs"))
+    if not isinstance(command, str) or command not in _RUNNERS:
+        raise ValueError(f"manifest {manifest_path}: 'command' is missing or unknown: "
+                         f"{command!r}")
+    for key, value in (("config", config), ("inputs", inputs)):
+        if not isinstance(value, dict):
+            raise ValueError(f"manifest {manifest_path}: '{key}' is missing or not an object")
+    for key in _INPUT_KEYS[command]:
+        if not isinstance(config.get(key), str):
+            raise ValueError(f"manifest {manifest_path}: config '{key}' is missing "
+                             "or not a file name")
+    return command, config, inputs
+
+
 def run_from_manifest(manifest_path, out_dir=None, check_digests: bool = True) -> Path:
     """Re-execute the command a manifest records; outputs are byte-identical."""
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    command = manifest["command"]
-    if command not in _RUNNERS:
-        raise ValueError(f"manifest names unknown command {command!r}")
-    config = manifest["config"]
+    command, config, inputs = _manifest_parts(manifest, manifest_path)
     if check_digests:
-        for path, digest in manifest["inputs"].items():
+        for path, digest in inputs.items():
             if not Path(path).is_file():
                 raise ValueError(f"manifest input missing: {path}")
             if _sha256(Path(path)) != digest:

@@ -239,19 +239,21 @@ def require_connected(g: Graph) -> None:
         )
 
 
-MAX_POWER_ITERATIONS = 500_000
-
-
 def stationary_distribution(g: Graph, transition: Optional[np.ndarray] = None) -> np.ndarray:
     """Long-run visit frequencies of the uniform random walk.
 
-    Undirected graphs use the closed form degree/(2|E|). Directed graphs run
-    averaged power iteration: each update replaces the current distribution
-    with the mean of itself and its one-step push-forward, which has the same
-    fixed point as the plain chain but converges even when the chain is
-    periodic. Iteration stops when successive averages differ by < 1e-12 in
-    max norm. It runs on `transition`, g's transition_matrix, when the
-    caller has built it already, and otherwise builds its own.
+    Undirected graphs use the closed form degree/(2|E|). Directed graphs
+    solve (I - A^T + 11^T) pi = 1 for the transition matrix A, once, and
+    divide pi by its sum. The system is nonsingular for every strongly
+    connected chain, periodic ones included, so there is no iteration and
+    no stopping rule: pi is exact to the solve's rounding. It uses
+    `transition`, g's transition_matrix, when the caller has built it
+    already, and otherwise builds its own.
+
+    Raises GraphStructureError when the graph is not (strongly) connected,
+    or when some node's solved probability is at most n * eps * max(pi):
+    such an entry is below the solve's rounding, so its value (and even its
+    sign) is not resolved. The message names the node.
     """
     require_connected(g)
     if not g.directed:
@@ -259,13 +261,16 @@ def stationary_distribution(g: Graph, transition: Optional[np.ndarray] = None) -
         return deg / deg.sum()
 
     mat = transition_matrix(g) if transition is None else transition
-    x = np.full(g.n, 1.0 / g.n)
-    for _ in range(MAX_POWER_ITERATIONS):
-        nxt = 0.5 * (x + x @ mat)
-        nxt /= nxt.sum()
-        if np.max(np.abs(nxt - x)) < PROB_TOL:
-            return nxt
-        x = nxt
-    raise GraphStructureError(
-        f"stationary distribution did not converge within {MAX_POWER_ITERATIONS} iterations"
-    )
+    system = -mat.T
+    system += 1.0
+    system.flat[:: g.n + 1] += 1.0
+    pi = np.linalg.solve(system, np.ones(g.n))
+    pi /= pi.sum()
+    low = int(np.argmin(pi))
+    resolvable = g.n * np.finfo(float).eps * pi.max()
+    if pi[low] <= resolvable:
+        raise GraphStructureError(
+            f"stationary probability of node {low} is {pi[low]:.3g}, at or below "
+            f"the {resolvable:.3g} a dense solve resolves on {g.n} nodes"
+        )
+    return pi

@@ -22,6 +22,19 @@ def cycle(n: int, directed: bool = False) -> Graph:
     return Graph(n=n, edges=edges, directed=directed)
 
 
+def cycle_with_chord(n: int, h: int) -> Graph:
+    """Directed n-cycle 0 -> 1 -> ... -> n-1 -> 0 plus the chord 0 -> h."""
+    arcs = [(i, (i + 1) % n) for i in range(n)] + [(0, h)]
+    return Graph(n=n, edges=tuple(arcs), directed=True)
+
+
+def geometric_chain(n: int) -> Graph:
+    """Directed chain i -> i+1 with every node but 0 also returning to 0:
+    pi_i is proportional to 2**-(i - 1) for i >= 1."""
+    arcs = [(0, 1)] + [arc for i in range(1, n - 1) for arc in ((i, i + 1), (i, 0))]
+    return Graph(n=n, edges=tuple(arcs + [(n - 1, 0)]), directed=True)
+
+
 def complete(n: int) -> Graph:
     edges = tuple((i, j) for i in range(n) for j in range(i + 1, n))
     return Graph(n=n, edges=edges, directed=False)

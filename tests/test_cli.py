@@ -12,10 +12,11 @@ import pytest
 import walkmf.cli
 import walkmf.graphs
 import walkmf.targets
-from graphgen import random_connected_graph
+from graphgen import geometric_chain, random_connected_graph
 from walkmf import (
     CooccurrenceCounts,
     TrainConfig,
+    serialize_edge_list,
     train_sgns,
     write_counts_csv,
     write_counts_sidecar,
@@ -114,6 +115,17 @@ class TestExact:
         assert code == 2
         assert err.startswith("walkmf: error: out of memory:")
         assert "EiB" in err  # names the size that could not be allocated
+        assert "Traceback" not in err
+
+    def test_unresolved_stationary_probability_exits_2(self, tmp_path, capsys):
+        # pi_79 ~ 1e-24 is below what the directed solve resolves on 80 nodes.
+        graph = tmp_path / "chain.edges"
+        graph.write_text(serialize_edge_list(geometric_chain(80)))
+        code = main(["exact", "-i", str(graph), "--directed", "-t", "2",
+                     "-o", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("walkmf: error: stationary probability of node")
         assert "Traceback" not in err
 
     def test_sgns_target_variant(self, tmp_path, path_graph_file):
@@ -368,6 +380,17 @@ class TestEmbed:
                      "--target", "softmax", "-o", str(tmp_path / "out")])
         assert code == 0
 
+    def test_undirected_softmax_rejects_disconnected_graph(self, tmp_path, capsys):
+        # Softmax builds no pi, but the graph is checked as `exact` checks it.
+        graph = tmp_path / "two.edges"
+        graph.write_text("0 1\n2 3\n")
+        code = main(["embed", "-i", str(graph), "-t", "2", "-d", "2",
+                     "--target", "softmax", "-o", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("walkmf: error:")
+        assert "not connected" in err
+
     def test_dim_above_node_count_is_usage_error(self, tmp_path, path_graph_file, capsys):
         code = main(["embed", "-i", str(path_graph_file), "-t", "2", "-d", "10",
                      "-o", str(tmp_path / "out")])
@@ -468,6 +491,22 @@ class TestManifests:
                      "-o", str(tmp_path / "redo")])
         assert code == 2
         assert "changed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("manifest, part", [
+        ("{}", "'command'"),
+        ("[1, 2]", "JSON object"),
+        ('{"command": "exact", "config": {}, "inputs": {}}', "'input'"),
+        ('{"command": "exact", "config": {"input": "x"}}', "'inputs'"),
+    ], ids=["empty", "list", "no-input", "no-inputs"])
+    def test_rerun_malformed_manifest_exits_2(self, tmp_path, capsys, manifest, part):
+        path = tmp_path / "manifest.json"
+        path.write_text(manifest)
+        code = main(["rerun", "--manifest", str(path), "-o", str(tmp_path / "redo")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("walkmf: error:")
+        assert str(path) in err and part in err
+        assert "Traceback" not in err
 
     def test_commands_do_not_mutate_inputs(self, tmp_path, path_graph_file):
         before = path_graph_file.read_bytes()

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphgen import cycle, k2, path3, random_connected_graph, random_strongly_connected_digraph, triangle
+from graphgen import (
+    cycle,
+    cycle_with_chord,
+    geometric_chain,
+    k2,
+    path3,
+    random_connected_graph,
+    random_strongly_connected_digraph,
+    triangle,
+)
 from walkmf import (
     EdgeListError,
     Graph,
@@ -161,7 +170,7 @@ class TestTransitionMatrix:
 
 def _stationary_power_oracle(g, steps=40000):
     # Long-run average of the chain's distribution trajectory; independent of
-    # the closed form and of the solver's averaging trick.
+    # the closed form and of the linear solve.
     mat = transition_matrix(g)
     x = np.full(g.n, 1.0 / g.n)
     acc = np.zeros(g.n)
@@ -210,8 +219,8 @@ class TestStationaryDistribution:
     def test_directed_fixed_point(self, seed, n):
         g = random_strongly_connected_digraph(n, seed)
         pi = stationary_distribution(g)
-        assert is_probability_vector(pi, tol=1e-9)
-        assert np.max(np.abs(pi @ transition_matrix(g) - pi)) < 1e-10
+        assert is_probability_vector(pi)
+        assert np.max(np.abs(pi @ transition_matrix(g) - pi)) <= 1e-14
 
     def test_directed_given_transition_matrix_gives_the_same_bytes(self):
         g = random_strongly_connected_digraph(30, seed=4)
@@ -221,11 +230,34 @@ class TestStationaryDistribution:
     def test_directed_periodic_chain_converges(self):
         # Period-2 chain (bipartite between {0,1} and {2,3}) with non-uniform
         # stationary law: plain power iteration oscillates forever, the
-        # averaged solver must still land on the fixed point.
+        # solve must still land on the fixed point.
         g = parse_edge_list("0 2\n0 3\n1 2\n2 0\n2 1\n3 1\n", directed=True)
         pi = stationary_distribution(g)
         assert np.allclose(pi, [0.2, 0.3, 0.4, 0.1], atol=1e-10)
         assert np.max(np.abs(pi @ transition_matrix(g) - pi)) < 1e-10
+
+    @pytest.mark.parametrize("n, h", [(101, 50), (1000, 500)])
+    def test_directed_cycle_with_chord_matches_closed_form(self, n, h):
+        # Node 0 splits its mass between 1 and h, so nodes 1..h-1 carry half
+        # of what the others do. The walk mixes slowly: the stationary law is
+        # reached only after many trips round the cycle.
+        g = cycle_with_chord(n, h)
+        pi = stationary_distribution(g)
+        closed = np.where((np.arange(n) >= 1) & (np.arange(n) < h), 0.5, 1.0)
+        closed /= closed.sum()
+        assert np.max(np.abs(pi - closed)) <= 1e-13
+        assert np.max(np.abs(pi @ transition_matrix(g) - pi)) <= 1e-12
+
+    def test_geometric_chain_resolved_while_above_rounding(self):
+        pi = stationary_distribution(geometric_chain(40))
+        assert np.all(pi > 0)
+        assert is_probability_vector(pi)
+
+    def test_geometric_chain_below_rounding_rejected(self):
+        # pi_79 is about 1.6e-24, far below what a solve on 80 nodes resolves;
+        # the solved entries there come out negative.
+        with pytest.raises(GraphStructureError, match="stationary probability of node"):
+            stationary_distribution(geometric_chain(80))
 
 
 class TestConnectivity:
