@@ -18,13 +18,13 @@ import json
 import sys
 import time
 from datetime import datetime, timezone
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .factorization import (
+    SPLITS,
     FactorizationError,
     factorize,
     reconstruction_error,
@@ -39,8 +39,8 @@ from .graphs import (
     stationary_distribution,
     transition_matrix,
 )
-from .parallel import run_jobs
 from .sampling import (
+    START_MODES,
     SamplerConfig,
     default_sampler_config,
     empirical_conditional,
@@ -58,6 +58,8 @@ from .sgns import (
     train_sgns,
 )
 from .targets import (
+    BIAS_MODES,
+    ZERO_POLICIES,
     compare_matrices,
     sgns_target_exact,
     sgns_target_from_counts,
@@ -76,6 +78,8 @@ DEFAULT_WINDOW = 5
 DEFAULT_NEGATIVES = 5
 DEFAULT_DIM = 64
 DEFAULT_EPSILON = 1e-12
+TARGET_KINDS = ("softmax", "sgns")
+FORMATS = ("csv", "json")
 
 
 class UsageError(Exception):
@@ -181,15 +185,15 @@ def run_exact(config: dict, out_dir: Path) -> list[str]:
     target = _build_target(config, p, pi)
 
     fmt = config["format"]
-    # Each file is one job; run_jobs writes them side by side.
-    jobs = [
-        partial(_write_matrix, p.probs, out_dir, "walk_matrix", fmt, {"window": p.window}),
-        partial(_write_matrix, target.values, out_dir, "target", fmt, target.metadata()),
-        partial(_write_vector, pi, out_dir, "stationary", fmt),
+    # One file at a time; each CSV writer formats its rows on all cores.
+    names = [
+        _write_matrix(p.probs, out_dir, "walk_matrix", fmt, {"window": p.window}),
+        _write_matrix(target.values, out_dir, "target", fmt, target.metadata()),
+        _write_vector(pi, out_dir, "stationary", fmt),
     ]
     if target.mask is not None:
-        jobs.append(lambda: _write_matrix(target.mask.astype(int), out_dir, "target_mask", fmt))
-    return list(run_jobs(jobs))
+        names.append(_write_matrix(target.mask.astype(int), out_dir, "target_mask", fmt))
+    return names
 
 
 def run_sample(config: dict, out_dir: Path) -> list[str]:
@@ -321,6 +325,46 @@ _INPUT_KEYS = {
     "train": ("counts", "counts_sidecar"),
 }
 
+# The keys of each command's config, as _config_from_args makes it, with
+# the types a value may have or, for a choice, the values it may take.
+# A float may also be written as an integer; a bool is never an int.
+_NONE = type(None)
+_CONFIG_SCHEMA = {
+    "exact": {"input": (str,), "directed": (bool,), "window": (int,),
+              "target": TARGET_KINDS, "bias": BIAS_MODES, "negatives": (int,),
+              "zero_policy": ZERO_POLICIES, "epsilon": (float, int), "format": FORMATS},
+    "sample": {"input": (str,), "directed": (bool,), "window": (int,), "length": (int,),
+               "seed": (int,), "workers": (int,), "start_mode": (*START_MODES, None),
+               "start_node": (int, _NONE), "burn_in": (int, _NONE)},
+    "compare": {"input": (str,), "directed": (bool,), "counts": (str,),
+                "counts_sidecar": (str,), "window": (int,), "negatives": (int,)},
+    "embed": {"input": (str,), "directed": (bool,), "window": (int,), "dim": (int,),
+              "target": TARGET_KINDS, "bias": BIAS_MODES, "negatives": (int,),
+              "zero_policy": ZERO_POLICIES, "epsilon": (float, int), "split": SPLITS},
+    "train": {"counts": (str,), "counts_sidecar": (str,), "dim": (int,), "negatives": (int,),
+              "epochs": (int,), "learning_rate": (float, int), "init_scale": (float, int, _NONE),
+              "seed": (int,)},
+}
+
+
+def _config_problem(command: str, config: dict):
+    """What makes config differ from every config _config_from_args makes
+    for command: a missing or unknown key, or a value of the wrong type or
+    outside its choices. None if there is nothing."""
+    schema = _CONFIG_SCHEMA[command]
+    for key, allowed in schema.items():
+        if key not in config:
+            return f"config '{key}' is missing"
+        value = config[key]
+        if isinstance(allowed[0], type):
+            if type(value) not in allowed:
+                names = " or ".join("null" if t is _NONE else t.__name__ for t in allowed)
+                return f"config '{key}' must be {names}, got {value!r}"
+        elif not any(type(value) is type(choice) and value == choice for choice in allowed):
+            return f"config '{key}' must be one of {list(allowed)}, got {value!r}"
+    unknown = sorted(config.keys() - schema.keys())
+    return f"config has unknown key '{unknown[0]}'" if unknown else None
+
 
 def execute(command: str, config: dict, out_dir: Path) -> Path:
     """Run a command, write its manifest, and return the manifest path."""
@@ -364,10 +408,9 @@ def _manifest_parts(manifest, manifest_path):
     for key, value in (("config", config), ("inputs", inputs)):
         if not isinstance(value, dict):
             raise ValueError(f"manifest {manifest_path}: '{key}' is missing or not an object")
-    for key in _INPUT_KEYS[command]:
-        if not isinstance(config.get(key), str):
-            raise ValueError(f"manifest {manifest_path}: config '{key}' is missing "
-                             "or not a file name")
+    problem = _config_problem(command, config)
+    if problem:
+        raise ValueError(f"manifest {manifest_path}: {problem}")
     return command, config, inputs
 
 
@@ -392,13 +435,13 @@ def _add_graph_args(sub):
 
 
 def _add_target_args(sub):
-    sub.add_argument("--target", choices=("softmax", "sgns"), default="softmax",
+    sub.add_argument("--target", choices=TARGET_KINDS, default="softmax",
                      help="which closed-form target matrix to build")
-    sub.add_argument("--bias", choices=("zero", "log2t"), default="zero",
+    sub.add_argument("--bias", choices=BIAS_MODES, default="zero",
                      help="softmax target bias mode")
     sub.add_argument("--negative", "-k", type=_positive_int, default=DEFAULT_NEGATIVES,
                      help="negative samples per positive (sgns targets)")
-    sub.add_argument("--zero-policy", choices=("floor", "truncate", "mask"), default=None,
+    sub.add_argument("--zero-policy", choices=ZERO_POLICIES, default=None,
                      help="log(0) handling; defaults to floor for softmax, truncate for sgns")
     sub.add_argument("--epsilon", type=_positive_float, default=DEFAULT_EPSILON,
                      help="floor value for zero probabilities")
@@ -414,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_args(p)
     p.add_argument("--window", "-t", type=_positive_int, default=DEFAULT_WINDOW)
     _add_target_args(p)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=FORMATS, default="csv")
     p.add_argument("--out-dir", "-o", required=True)
 
     p = subs.add_parser("sample", help="sample windowed pair counts from a random walk")
@@ -424,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of walk positions used as centers")
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--workers", type=_positive_int, default=1)
-    p.add_argument("--start-mode", choices=("stationary", "uniform", "fixed"), default=None,
+    p.add_argument("--start-mode", choices=START_MODES, default=None,
                    help="default: stationary for undirected, uniform for directed")
     p.add_argument("--start-node", type=_nonnegative_int, default=None)
     p.add_argument("--burn-in", type=_nonnegative_int, default=None,
@@ -445,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", "-t", type=_positive_int, default=DEFAULT_WINDOW)
     p.add_argument("--dim", "-d", type=_positive_int, default=DEFAULT_DIM)
     _add_target_args(p)
-    p.add_argument("--split", choices=("symmetric", "left"), default="symmetric",
+    p.add_argument("--split", choices=SPLITS, default="symmetric",
                    help="singular-value split between the two factors")
     p.add_argument("--out-dir", "-o", required=True)
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .parallel import write_rows
 from .targets import TargetMatrix
 
 SPLITS = ("symmetric", "left")
@@ -154,13 +155,16 @@ def singular_values(m) -> np.ndarray:
 
 
 def write_embedding_matrix(mat: np.ndarray, path) -> None:
-    """word2vec text format: header 'n d', then one 'id x1 ... xd' line per row."""
+    """word2vec text format: header 'n d', then one 'id x1 ... xd' line per
+    row, formatted on all cores (parallel.write_rows)."""
     mat = np.asarray(mat, dtype=float)
-    line = "%d " + " ".join(["%.17g"] * mat.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{mat.shape[0]} {mat.shape[1]}\n")
-        for i, row in enumerate(mat.tolist()):
-            fh.write(line % (i, *row))
+    n, d = mat.shape
+    line = "%d " + " ".join(["%.17g"] * d) + "\n"
+
+    def format_rows(lo: int, hi: int) -> str:
+        return "".join([line % (i, *row) for i, row in enumerate(mat[lo:hi].tolist(), lo)])
+
+    write_rows(path, n, format_rows, d + 1, head=f"{n} {d}\n")
 
 
 def read_embedding_matrix(path) -> np.ndarray:

@@ -16,6 +16,15 @@ out of memory, a bare os._exit) becomes ChildProcessError, an OSError.
 
 With one core or one job, or without os.fork and os.sched_getaffinity (as
 on macOS and Windows), every job runs in the parent through the same loop.
+So does every job of a run_jobs called inside a forked child: a child
+counts one core, and never forks children of its own.
+
+`write_rows(path, n_rows, format_rows, ...)` writes one large text output
+on all cores: each core formats one contiguous block of rows, the parent's
+straight into the output and each child's into an unnamed temporary file in
+the output's directory, which the parent then appends in order. The bytes
+are those of writing every row in one process.
+
 On Python >= 3.12, os.fork in a process that has started threads, as
 OpenBLAS does when NumPy loads, emits a DeprecationWarning. It is not
 silenced; the jobs walkmf forks call no BLAS.
@@ -25,15 +34,34 @@ from __future__ import annotations
 
 import os
 import pickle
+import shutil
 import signal
-from typing import Callable, Iterator, Sequence, TypeVar
+import tempfile
+from contextlib import ExitStack
+from functools import partial
+from pathlib import Path
+from typing import BinaryIO, Callable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
 
+# Values formatted by one format_rows call, as np.savetxt formats one row at
+# a time: a slice's floats and text take ~0.6 MB, never a whole block's.
+# Slices of 2^15 values raised a 300 x 300 `exact`'s peak RSS by 1.4 MB.
+_SLICE_VALUES = 1 << 13
+# Outputs of fewer values are written in one process. On a 2-core VM, an
+# 800 x 65 embedding file (52k values) was written ~25% faster in two blocks,
+# while a 300 x 33 one (10k) or an 800 x 33 one (26k) gained nothing.
+_SPLIT_VALUES = 1 << 15
+
+# Set in a forked child before its job runs, so a run_jobs inside the job
+# runs in-process instead of forking grandchildren onto busy cores.
+_in_child = False
+
 
 def available_cores() -> int:
-    """Cores this process may run on; 1 where it cannot fork or tell."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    """Cores this process may run on; 1 where it cannot fork or tell, and
+    in a child that run_jobs forked."""
+    if _in_child or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     return len(os.sched_getaffinity(0))
 
@@ -53,6 +81,58 @@ def run_jobs(jobs: Sequence[Callable[[], T]]) -> Iterator[T]:
         finally:
             for child in children:
                 child.stop()
+
+
+def write_rows(path, n_rows: int, format_rows: Callable[[int, int], str],
+               row_values: int = 1, head: str = "") -> None:
+    """Write `head`, then the text of rows 0..n_rows-1, to `path`.
+
+    format_rows(lo, hi) returns the text of rows lo..hi-1. It is called on
+    consecutive slices of about _SLICE_VALUES values (row_values per row),
+    so the text in memory at once is one slice's. With more than one core
+    and at least _SPLIT_VALUES values, the rows are cut into one contiguous
+    block per core and run_jobs formats the blocks side by side: this
+    process writes the first block straight into `path`, each child writes
+    its block into an unnamed temporary file in `path`'s directory, and the
+    temporary files are appended in order once every block is done. The
+    bytes are the same on any number of cores. The temporary files have no
+    name, so none is left behind, whether a block fails or not.
+    """
+    blocks = min(available_cores(), n_rows)
+    step = max(1, _SLICE_VALUES // row_values)
+    with open(path, "wb") as out:
+        if blocks < 2 or n_rows * row_values < _SPLIT_VALUES:
+            _write_slices(out, format_rows, 0, n_rows, step, head)
+            return
+        bounds = [n_rows * b // blocks for b in range(blocks + 1)]
+        with ExitStack() as stack:
+            parts = [stack.enter_context(tempfile.TemporaryFile(dir=Path(path).parent))
+                     for _ in range(blocks - 1)]
+            # Nothing is buffered in `out` or a part when the children fork,
+            # so no child holds a copy of bytes that this process writes.
+            jobs = [partial(_write_slices, out, format_rows, 0, bounds[1], step, head)]
+            jobs += [partial(_write_part, part, format_rows, lo, hi, step)
+                     for part, lo, hi in zip(parts, bounds[1:], bounds[2:])]
+            for _ in run_jobs(jobs):
+                pass
+            for part in parts:
+                part.seek(0)
+                shutil.copyfileobj(part, out)
+
+
+def _write_slices(fh: BinaryIO, format_rows: Callable[[int, int], str], lo: int, hi: int,
+                  step: int, head: str = "") -> None:
+    fh.write(head.encode())
+    for a in range(lo, hi, step):
+        fh.write(format_rows(a, min(a + step, hi)).encode())
+
+
+def _write_part(part: BinaryIO, format_rows: Callable[[int, int], str], lo: int, hi: int,
+                step: int) -> None:
+    """A child's block: written, flushed and closed here, since the child
+    ends by os._exit, which flushes nothing."""
+    with part:
+        _write_slices(part, format_rows, lo, hi, step)
 
 
 class _Child:
@@ -105,6 +185,8 @@ class _Child:
 def _serve(job: Callable[[], T], fd: int) -> None:
     """In the child: run the job, send (True, result) or (False, exception)
     down fd, and end the process without returning."""
+    global _in_child
+    _in_child = True
     code = 1
     try:
         try:

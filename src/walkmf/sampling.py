@@ -197,17 +197,18 @@ def merge_counts(parts: Iterable[CooccurrenceCounts]) -> CooccurrenceCounts:
     return CooccurrenceCounts(total)
 
 
-def _draw_start(g: Graph, cfg: SamplerConfig, rng: np.random.Generator) -> int:
+def _draw_start(g: Graph, cfg: SamplerConfig, rng: np.random.Generator,
+                pi: Optional[np.ndarray]) -> int:
     if cfg.start_mode == "fixed":
         if not (0 <= cfg.start_node < g.n):
             raise ValueError(f"start node {cfg.start_node} out of range 0..{g.n - 1}")
         return cfg.start_node
     if cfg.start_mode == "uniform":
         return int(rng.integers(g.n))
-    return int(rng.choice(g.n, p=stationary_distribution(g)))
+    return int(rng.choice(g.n, p=stationary_distribution(g) if pi is None else pi))
 
 
-def generate_walk(g: Graph, cfg: SamplerConfig) -> Walk:
+def generate_walk(g: Graph, cfg: SamplerConfig, pi: Optional[np.ndarray] = None) -> Walk:
     """Run one uniform random walk of burn_in + centers + window positions.
 
     Deterministic given cfg.seed. Requires a (strongly) connected graph so
@@ -231,10 +232,13 @@ def generate_walk(g: Graph, cfg: SamplerConfig) -> Walk:
     directed cycle, one meets the walk only if its offset is a multiple of
     the cycle's length), and later chunks are walked without them. Walks
     shorter than _MIN_GUESSED_SEGMENTS segments are never guessed.
+
+    A stationary start draws from `pi`, g's stationary_distribution, when
+    the caller has solved it already, and otherwise solves it here.
     """
     require_connected(g)
     rng = np.random.default_rng(cfg.seed)
-    start = _draw_start(g, cfg, rng)
+    start = _draw_start(g, cfg, rng, pi)
 
     length = cfg.burn_in + cfg.centers + cfg.window
     # Python lists keep the exact pass free of NumPy scalar indexing, and
@@ -358,8 +362,9 @@ def _worker_seed(seed: int, worker: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=(worker,)).generate_state(1, np.uint64)[0])
 
 
-def _count_walk(g: Graph, cfg: SamplerConfig) -> CooccurrenceCounts:
-    return extract_pairs(generate_walk(g, cfg), cfg.window, g.directed, cfg.burn_in, cfg.centers)
+def _count_walk(g: Graph, cfg: SamplerConfig, pi: Optional[np.ndarray]) -> CooccurrenceCounts:
+    return extract_pairs(generate_walk(g, cfg, pi), cfg.window, g.directed, cfg.burn_in,
+                         cfg.centers)
 
 
 def sample_counts(g: Graph, cfg: SamplerConfig) -> CooccurrenceCounts:
@@ -373,15 +378,17 @@ def sample_counts(g: Graph, cfg: SamplerConfig) -> CooccurrenceCounts:
     the others. Each walk goes straight to extract_pairs and is freed
     before the process walks another, and merge_counts adds each worker's
     counts to one running total as they arrive, so this process holds one
-    walk, the counts being made from it and the total.
+    walk, the counts being made from it and the total. A stationary start
+    solves pi once, here, for every worker.
     """
+    pi = stationary_distribution(g) if cfg.start_mode == "stationary" else None
     if cfg.workers == 1:
-        return _count_walk(g, cfg)
+        return _count_walk(g, cfg, pi)
 
     base, extra = divmod(cfg.centers, cfg.workers)
     # Workers beyond the first `centers` would get no centers, so they do not run.
     jobs = [partial(_count_walk, g, replace(cfg, centers=base + (w < extra),
-                                            seed=_worker_seed(cfg.seed, w), workers=1))
+                                            seed=_worker_seed(cfg.seed, w), workers=1), pi)
             for w in range(min(cfg.workers, cfg.centers))]
     return merge_counts(run_jobs(jobs))
 

@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .graphs import Graph, transition_matrix
+from .parallel import write_rows
 from .sampling import CooccurrenceCounts
 
 ZERO_POLICIES = ("floor", "truncate", "mask")
@@ -226,8 +227,19 @@ def compare_matrices(x: np.ndarray, y: np.ndarray,
                             compared=compared, excluded=excluded)
 
 
+def _write_csv_rows(mat: np.ndarray, path) -> None:
+    """What np.savetxt(path, mat, fmt="%.17g", delimiter=",") writes, byte
+    for byte, with the rows formatted on all cores (parallel.write_rows)."""
+    row = ",".join(["%.17g"] * mat.shape[1]) + "\n"
+
+    def format_rows(lo: int, hi: int) -> str:
+        return (row * (hi - lo)) % tuple(mat[lo:hi].ravel().tolist())
+
+    write_rows(path, mat.shape[0], format_rows, mat.shape[1])
+
+
 def write_matrix_csv(mat: np.ndarray, path) -> None:
-    np.savetxt(path, np.atleast_2d(mat), fmt="%.17g", delimiter=",")
+    _write_csv_rows(np.atleast_2d(mat), path)
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -235,7 +247,7 @@ def read_matrix_csv(path) -> np.ndarray:
 
 
 def write_vector_csv(vec: np.ndarray, path) -> None:
-    np.savetxt(path, np.asarray(vec).ravel(), fmt="%.17g")
+    _write_csv_rows(np.asarray(vec).reshape(-1, 1), path)
 
 
 def read_vector_csv(path) -> np.ndarray:

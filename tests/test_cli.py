@@ -508,6 +508,37 @@ class TestManifests:
         assert str(path) in err and part in err
         assert "Traceback" not in err
 
+    def test_rerun_incomplete_config_exits_2(self, tmp_path, capsys, path_graph_file):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"command": "exact", "config": {"input": str(path_graph_file)},
+                                    "inputs": {}}))
+        code = main(["rerun", "--manifest", str(path), "-o", str(tmp_path / "redo")])
+        assert (code, capsys.readouterr().err) == (
+            2, f"walkmf: error: manifest {path}: config 'directed' is missing\n")
+
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("exact", "window", "x", "config 'window' must be int, got 'x'"),
+        ("exact", "window", True, "config 'window' must be int, got True"),
+        ("exact", "directed", 0, "config 'directed' must be bool, got 0"),
+        ("exact", "target", "sgsn", "config 'target' must be one of ['softmax', 'sgns'], "
+                                    "got 'sgsn'"),
+        ("exact", "input", None, "config 'input' must be str, got None"),
+        ("exact", "windows", 2, "config has unknown key 'windows'"),
+        ("sample", "start_node", 1.5, "config 'start_node' must be int or null, got 1.5"),
+        ("train", "learning_rate", "0.1", "config 'learning_rate' must be float or int, "
+                                          "got '0.1'"),
+    ], ids=["str-window", "bool-window", "int-directed", "unknown-target", "null-input",
+            "unknown-key", "float-start-node", "str-learning-rate"])
+    def test_rerun_ill_typed_config_exits_2(self, tmp_path, capsys, path_graph_file,
+                                            command, key, value, message):
+        out_dir = self._run_each_command(tmp_path, path_graph_file)[command]
+        manifest = _read_manifest(out_dir)
+        manifest["config"][key] = value
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(manifest))
+        code = main(["rerun", "--manifest", str(path), "-o", str(tmp_path / "redo")])
+        assert (code, capsys.readouterr().err) == (2, f"walkmf: error: manifest {path}: {message}\n")
+
     def test_commands_do_not_mutate_inputs(self, tmp_path, path_graph_file):
         before = path_graph_file.read_bytes()
         self._run_each_command(tmp_path, path_graph_file)

@@ -1,15 +1,25 @@
+import io
 import json
 import os
 import signal
+import tempfile
 import time
 from functools import partial
 
+import numpy as np
 import pytest
 
 import walkmf.cli
 from graphgen import random_connected_graph, random_strongly_connected_digraph
 from walkmf import parallel, sampling
 from walkmf.cli import main
+from walkmf.factorization import read_embedding_matrix, write_embedding_matrix
+from walkmf.targets import (
+    read_matrix_csv,
+    read_vector_csv,
+    write_matrix_csv,
+    write_vector_csv,
+)
 
 CAN_FORK = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
 
@@ -91,6 +101,18 @@ class TestRunJobs:
         assert time.monotonic() - start < 30
         assert (len(spy.forks), spy.live) == (forked - 1, set())
         _assert_gone(spy.forks)
+
+
+    def test_a_forked_job_counts_one_core_and_forks_nothing(self, monkeypatch, forked):
+        # The child's own run_jobs runs its three jobs in the child itself.
+        def nested():
+            return parallel.available_cores(), os.getpid(), list(parallel.run_jobs([os.getpid] * 3))
+
+        parent = os.getpid()
+        results = list(parallel.run_jobs([int] + [nested] * (forked - 1)))
+        assert parallel.available_cores() == forked
+        for cores, pid, pids in results[1:]:
+            assert (cores, pids) == (1, [pid] * 3) and pid != parent
 
 
 class _ForkSpy:
@@ -216,3 +238,159 @@ class TestErrorsFromWorkers:
         code, err = _run(sample_argv, capsys)
         assert (code, err) == (
             2, f"walkmf: error: a worker process ended without its result ({how})\n")
+
+
+
+def _split(monkeypatch):
+    """Split every output over three cores, whatever the machine has, and
+    format it a few rows at a time; returns the directories of the
+    temporary files made from now on."""
+    if not CAN_FORK:
+        pytest.skip("needs os.fork and os.sched_getaffinity")
+    monkeypatch.setattr(parallel, "available_cores", lambda: 3)
+    monkeypatch.setattr(parallel, "_SPLIT_VALUES", 1)
+    monkeypatch.setattr(parallel, "_SLICE_VALUES", 5)
+    made = []
+    temporary = tempfile.TemporaryFile
+
+    def recorded(*args, **kwargs):
+        made.append(kwargs["dir"])
+        return temporary(*args, **kwargs)
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", recorded)
+    return made
+
+
+@pytest.fixture
+def split(monkeypatch):
+    return _split(monkeypatch)
+
+
+def _savetxt(mat, **kwargs):
+    buffer = io.BytesIO()
+    np.savetxt(buffer, mat, fmt="%.17g", **kwargs)
+    return buffer.getvalue()
+
+
+def _embedding_text(mat):
+    # The one-line-at-a-time writer the row blocks replaced.
+    line = "%d " + " ".join(["%.17g"] * mat.shape[1]) + "\n"
+    text = f"{mat.shape[0]} {mat.shape[1]}\n"
+    return (text + "".join(line % (i, *row) for i, row in enumerate(mat.tolist()))).encode()
+
+
+SHAPES = [(1, 1), (7, 1), (2, 6), (3, 5), (11, 4)]
+
+
+def _values(shape):
+    mat = np.random.default_rng(sum(shape)).standard_normal(shape) * 1e3
+    mat.flat[::3] = 0.0
+    mat.flat[1::5] = np.nan
+    mat.flat[2::7] = -np.inf
+    return mat
+
+
+class TestWriteRows:
+    """The row-block writers give np.savetxt's bytes, split or not."""
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_matrix_csv(self, tmp_path, split, shape):
+        mat = _values(shape)
+        mask = np.isnan(mat).astype(int)
+        write_matrix_csv(mat, tmp_path / "m.csv")
+        write_matrix_csv(mask, tmp_path / "mask.csv")
+        assert (tmp_path / "m.csv").read_bytes() == _savetxt(mat, delimiter=",")
+        assert (tmp_path / "mask.csv").read_bytes() == _savetxt(mask, delimiter=",")
+        # Fewer rows than cores: one block per row.
+        assert split == [tmp_path] * (2 * (min(3, shape[0]) - 1))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10])
+    def test_vector_csv(self, tmp_path, split, n):
+        vec = _values((n, 1)).ravel()
+        write_vector_csv(vec, tmp_path / "v.csv")
+        assert (tmp_path / "v.csv").read_bytes() == _savetxt(vec)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_embedding_matrix(self, tmp_path, split, shape):
+        mat = np.nan_to_num(_values(shape), nan=0.5, neginf=-2.0)
+        write_embedding_matrix(mat, tmp_path / "e.txt")
+        assert (tmp_path / "e.txt").read_bytes() == _embedding_text(mat)
+
+    def test_serial_below_the_threshold(self, tmp_path, split, monkeypatch):
+        monkeypatch.setattr(parallel, "_SPLIT_VALUES", 45)
+        write_matrix_csv(np.ones((11, 4)), tmp_path / "small.csv")
+        assert split == []
+        write_matrix_csv(np.ones((9, 5)), tmp_path / "large.csv")
+        assert split == [tmp_path] * 2
+
+    def test_serial_on_one_core(self, tmp_path, split, monkeypatch):
+        monkeypatch.setattr(parallel, "available_cores", lambda: 1)
+        write_matrix_csv(np.ones((11, 4)), tmp_path / "m.csv")
+        assert split == []
+
+    def test_a_failing_block_leaves_no_temporary_file(self, tmp_path, split, monkeypatch,
+                                                      capsys):
+        # Every block but the first is formatted in a child, and fails there.
+        graph = _write_graph(tmp_path / "g.edges", random_connected_graph(12, seed=5))
+        out = tmp_path / "out"
+        write_slices = parallel._write_slices
+
+        def failing(fh, format_rows, lo, *args):
+            if lo > 0:
+                raise ValueError(f"block from row {lo} failed")
+            return write_slices(fh, format_rows, lo, *args)
+
+        monkeypatch.setattr(parallel, "_write_slices", failing)
+        code, err = _run(["exact", "-i", str(graph), "-t", "2", "-o", str(out)], capsys)
+        assert (code, err) == (2, "walkmf: error: block from row 4 failed\n")
+        assert split == [out] * 2
+        assert [p.name for p in out.iterdir()] == ["walk_matrix.csv"]
+
+
+class TestSplitOutputs:
+    """exact's and embed's files, split over three cores, are the files one
+    core writes, and what np.savetxt writes for the values they hold."""
+
+    @pytest.fixture
+    def graph(self, tmp_path):
+        return _write_graph(tmp_path / "g.edges", random_connected_graph(13, seed=7))
+
+    @staticmethod
+    def _outputs(argv, out):
+        assert main([*argv, "-o", str(out)]) == 0
+        names = json.loads((out / "manifest.json").read_text())["outputs"]
+        # No temporary file is left beside the outputs.
+        assert sorted(p.name for p in out.iterdir()) == sorted([*names, "manifest.json"])
+        return {name: (out / name).read_bytes() for name in names}
+
+    def _serial_and_split(self, argv, tmp_path, monkeypatch):
+        _use_cores(monkeypatch, 1)
+        serial = self._outputs(argv, tmp_path / "serial")
+        made = _split(monkeypatch)
+        split = self._outputs(argv, tmp_path / "split")
+        assert made and set(made) == {tmp_path / "split"}
+        assert split == serial
+        return tmp_path / "split", split
+
+    @pytest.mark.parametrize("target, files", [
+        (["--target", "softmax", "--zero-policy", "floor"], 3),
+        (["--target", "sgns", "--zero-policy", "truncate"], 3),
+        (["--target", "sgns", "--zero-policy", "mask"], 4),
+    ], ids=["floor", "truncate", "mask"])
+    def test_exact(self, tmp_path, monkeypatch, graph, target, files):
+        out, outputs = self._serial_and_split(["exact", "-i", str(graph), "-t", "2", *target],
+                                              tmp_path, monkeypatch)
+        assert len(outputs) == files
+        for name, data in outputs.items():
+            if name == "stationary.csv":
+                assert data == _savetxt(read_vector_csv(out / name))
+            else:
+                assert data == _savetxt(read_matrix_csv(out / name), delimiter=",")
+        if files == 4:
+            assert b"nan" in outputs["target.csv"]
+
+    def test_embed(self, tmp_path, monkeypatch, graph):
+        out, outputs = self._serial_and_split(["embed", "-i", str(graph), "-t", "2", "-d", "5"],
+                                              tmp_path, monkeypatch)
+        for name in ("embeddings_w.txt", "embeddings_h.txt"):
+            assert outputs[name] == _embedding_text(read_embedding_matrix(out / name))

@@ -263,6 +263,33 @@ class TestLongWalk:
         assert peak <= 2 * 8 * g.n ** 2 + per_walk
 
 
+class TestStationaryStart:
+    def test_directed_pi_is_solved_once_for_every_worker(self, tmp_path, monkeypatch):
+        # One core, so every worker's walk runs in this process and is counted.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        calls = []
+        solve = sampling.stationary_distribution
+
+        def counted(g, *args):
+            calls.append(g.n)
+            return solve(g, *args)
+
+        monkeypatch.setattr(sampling, "stationary_distribution", counted)
+        g = random_strongly_connected_digraph(30, seed=4, extra_edges=40)
+        graph = tmp_path / "g.edges"
+        graph.write_text("".join(f"{u} {v}\n" for u, v in g.edges))
+        assert main(["sample", "-i", str(graph), "--directed", "--start-mode", "stationary",
+                     "-t", "2", "-L", "3000", "--seed", "5", "--workers", "3",
+                     "-o", str(tmp_path / "out")]) == 0
+        assert calls == [30]
+
+    def test_a_given_pi_draws_the_walk_a_solved_one_draws(self):
+        g = random_strongly_connected_digraph(30, seed=4, extra_edges=40)
+        cfg = SamplerConfig(window=2, centers=500, seed=9, start_mode="stationary", burn_in=10)
+        given = generate_walk(g, cfg, stationary_distribution(g))
+        assert np.array_equal(given.nodes, generate_walk(g, cfg).nodes)
+
+
 def _reference_pairs(nodes, n, window, directed, burn_in, centers):
     """Pair counts one (center, offset) at a time."""
     mat = np.zeros((n, n), dtype=np.int64)
