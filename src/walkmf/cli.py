@@ -15,8 +15,10 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -109,6 +111,8 @@ def _nonnegative_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
@@ -126,10 +130,10 @@ def _sidecar_for(counts_path: Path) -> Path:
     return counts_path.with_suffix(".json")
 
 
-def _resolved_zero_policy(policy, target_kind: str) -> str:
-    if policy is not None:
-        return policy
-    return "floor" if target_kind == "softmax" else "truncate"
+def _write_json(path: Path, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _write_matrix(mat, out_dir: Path, stem: str, fmt: str, metadata=None) -> str:
@@ -145,10 +149,8 @@ def _write_matrix(mat, out_dir: Path, stem: str, fmt: str, metadata=None) -> str
 def _write_vector(vec, out_dir: Path, stem: str, fmt: str, metadata=None) -> str:
     if fmt == "json":
         name = f"{stem}.json"
-        payload = {"metadata": metadata or {}, "vector": np.asarray(vec).tolist()}
-        with open(out_dir / name, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out_dir / name, {"metadata": metadata or {},
+                                     "vector": np.asarray(vec).tolist()})
     else:
         name = f"{stem}.csv"
         write_vector_csv(vec, out_dir / name)
@@ -240,9 +242,7 @@ def run_compare(config: dict, out_dir: Path) -> list[str]:
         "window": config["window"],
         "negatives": k,
     }
-    with open(out_dir / "comparison.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "comparison.json", report)
     return ["comparison.json"]
 
 
@@ -267,22 +267,13 @@ def run_embed(config: dict, out_dir: Path) -> list[str]:
         "dim": config["dim"],
         "target": target.metadata(),
     }
-    with open(out_dir / "reconstruction.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "reconstruction.json", report)
     return ["embeddings_w.txt", "embeddings_h.txt", "reconstruction.json"]
 
 
 def run_train(config: dict, out_dir: Path) -> list[str]:
+    cfg = TrainConfig(**{field.name: config[field.name] for field in fields(TrainConfig)})
     counts, _ = read_counts_csv(config["counts"], config["counts_sidecar"])
-    cfg = TrainConfig(
-        dim=config["dim"],
-        negatives=config["negatives"],
-        epochs=config["epochs"],
-        learning_rate=config["learning_rate"],
-        seed=config["seed"],
-        init_scale=config["init_scale"],
-    )
     result = train_sgns(counts, cfg)
 
     write_embedding_matrix(result.embeddings.w, out_dir / "embeddings_w.txt")
@@ -303,9 +294,7 @@ def run_train(config: dict, out_dir: Path) -> list[str]:
         "steps": cfg.epochs * STEPS_PER_EPOCH,
         "upper_bound": upper_bound,
     }
-    with open(out_dir / "comparison.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "comparison.json", report)
     return ["embeddings_w.txt", "embeddings_h.txt", "training_log.csv", "comparison.json"]
 
 
@@ -317,62 +306,138 @@ _RUNNERS = {
     "train": run_train,
 }
 
-_INPUT_KEYS = {
-    "exact": ("input",),
-    "sample": ("input",),
-    "compare": ("input", "counts", "counts_sidecar"),
-    "embed": ("input",),
-    "train": ("counts", "counts_sidecar"),
+
+def _with_help(option, text: str):
+    """The option with text as its help."""
+    flags, key, kwargs = option
+    return flags, key, {**kwargs, "help": text}
+
+
+# Every option a command records in its config is declared once, as (flags,
+# config key, add_argument keywords); the config key is argparse's dest. The
+# parser, the recorded config, rerun's check of a manifest's config and the
+# input files all come from these rows. type=Path marks an input file: the
+# config records its resolved path and the manifest its digest.
+_INPUT = (("--input", "-i"), "input", {"type": Path, "required": True, "help": "edge-list file"})
+_DIRECTED = (("--directed",), "directed",
+             {"action": "store_true", "help": "treat edges as directed"})
+_WINDOW = (("--window", "-t"), "window", {"type": _positive_int, "default": DEFAULT_WINDOW})
+_NEGATIVES = (("--negative", "-k"), "negatives",
+              {"type": _positive_int, "default": DEFAULT_NEGATIVES, "metavar": "NEGATIVE"})
+_DIM = (("--dim", "-d"), "dim", {"type": _positive_int, "default": DEFAULT_DIM})
+_SEED = (("--seed",), "seed", {"type": _nonnegative_int, "default": 0})
+_COUNTS = (("--counts",), "counts",
+           {"type": Path, "required": True, "help": "counts CSV written by `sample`"})
+_COUNTS_SIDECAR = (("--counts-sidecar",), "counts_sidecar", {"type": Path, "default": None})
+_TARGET_OPTIONS = (
+    (("--target",), "target", {"choices": TARGET_KINDS, "default": "softmax",
+                               "help": "which closed-form target matrix to build"}),
+    (("--bias",), "bias", {"choices": BIAS_MODES, "default": "zero",
+                           "help": "softmax target bias mode"}),
+    _with_help(_NEGATIVES, "negative samples per positive (sgns targets)"),
+    (("--zero-policy",), "zero_policy", {
+        "choices": ZERO_POLICIES, "default": None,
+        "help": "log(0) handling; defaults to floor for softmax, truncate for sgns"}),
+    (("--epsilon",), "epsilon", {"type": _positive_float, "default": DEFAULT_EPSILON,
+                                 "help": "floor value for zero probabilities"}),
+)
+
+# Each command's help line and options, in --help order.
+_COMMANDS = {
+    "exact": ("closed-form walk/target matrices for a graph", (
+        _INPUT, _DIRECTED, _WINDOW, *_TARGET_OPTIONS,
+        (("--format",), "format", {"choices": FORMATS, "default": "csv"}),
+    )),
+    "sample": ("sample windowed pair counts from a random walk", (
+        _INPUT, _DIRECTED, _WINDOW,
+        (("--length", "-L"), "length", {"type": _positive_int, "required": True,
+                                        "help": "number of walk positions used as centers"}),
+        _SEED,
+        (("--workers",), "workers", {"type": _positive_int, "default": 1}),
+        (("--start-mode",), "start_mode", {
+            "choices": START_MODES, "default": None,
+            "help": "default: stationary for undirected, uniform for directed"}),
+        (("--start-node",), "start_node", {"type": _nonnegative_int, "default": None}),
+        (("--burn-in",), "burn_in", {"type": _nonnegative_int, "default": None,
+                                     "help": "default: 0 for undirected, 1000 for directed"}),
+    )),
+    "compare": ("sampled statistics vs their closed forms", (
+        _INPUT, _DIRECTED, _COUNTS,
+        _with_help(_COUNTS_SIDECAR, "sidecar JSON (default: counts path with .json suffix)"),
+        _WINDOW, _NEGATIVES,
+    )),
+    "embed": ("factorize a closed-form target into embeddings", (
+        _INPUT, _DIRECTED, _WINDOW, _DIM, *_TARGET_OPTIONS,
+        (("--split",), "split", {"choices": SPLITS, "default": "symmetric",
+                                 "help": "singular-value split between the two factors"}),
+    )),
+    "train": ("train SGNS embeddings on sampled counts", (
+        _COUNTS, _COUNTS_SIDECAR, _DIM, _NEGATIVES,
+        (("--epochs",), "epochs", {"type": _nonnegative_int, "default": 5}),
+        (("--lr",), "learning_rate", {"type": _positive_float, "default": 0.1, "metavar": "LR",
+                                      "help": "initial Adam step size, decayed linearly"}),
+        (("--init-scale",), "init_scale", {"type": _positive_float, "default": None}),
+        _SEED,
+    )),
 }
 
-# The keys of each command's config, as _config_from_args makes it, with
-# the types a value may have or, for a choice, the values it may take.
-# A float may also be written as an integer; a bool is never an int.
-_NONE = type(None)
-_CONFIG_SCHEMA = {
-    "exact": {"input": (str,), "directed": (bool,), "window": (int,),
-              "target": TARGET_KINDS, "bias": BIAS_MODES, "negatives": (int,),
-              "zero_policy": ZERO_POLICIES, "epsilon": (float, int), "format": FORMATS},
-    "sample": {"input": (str,), "directed": (bool,), "window": (int,), "length": (int,),
-               "seed": (int,), "workers": (int,), "start_mode": (*START_MODES, None),
-               "start_node": (int, _NONE), "burn_in": (int, _NONE)},
-    "compare": {"input": (str,), "directed": (bool,), "counts": (str,),
-                "counts_sidecar": (str,), "window": (int,), "negatives": (int,)},
-    "embed": {"input": (str,), "directed": (bool,), "window": (int,), "dim": (int,),
-              "target": TARGET_KINDS, "bias": BIAS_MODES, "negatives": (int,),
-              "zero_policy": ZERO_POLICIES, "epsilon": (float, int), "split": SPLITS},
-    "train": {"counts": (str,), "counts_sidecar": (str,), "dim": (int,), "negatives": (int,),
-              "epochs": (int,), "learning_rate": (float, int), "init_scale": (float, int, _NONE),
-              "seed": (int,)},
+# Options whose unset value defaults to one that depends on other options.
+# The config records the value they default to, so it is never null.
+_DERIVED_DEFAULTS = {
+    "zero_policy": lambda config: "floor" if config["target"] == "softmax" else "truncate",
+    "counts_sidecar": lambda config: _sidecar_for(config["counts"]),
 }
+
+
+def _input_keys(command: str) -> list[str]:
+    _, options = _COMMANDS[command]
+    return [key for _, key, kwargs in options if kwargs.get("type") is Path]
+
+
+_NONE = type(None)
+
+
+def _allowed(key: str, kwargs: dict) -> tuple:
+    """The types a recorded value of an option may have or, for a choice,
+    the values it may take. A float may also be written as an integer; a
+    bool is never an int."""
+    if kwargs.get("action") == "store_true":
+        allowed = (bool,)
+    elif "choices" in kwargs:
+        allowed = tuple(kwargs["choices"])
+    else:  # every other type parses an int
+        allowed = {Path: (str,), _positive_float: (float, int)}.get(kwargs["type"], (int,))
+    if "default" in kwargs and kwargs["default"] is None and key not in _DERIVED_DEFAULTS:
+        allowed += (None,) if "choices" in kwargs else (_NONE,)
+    return allowed
 
 
 def _config_problem(command: str, config: dict):
     """What makes config differ from every config _config_from_args makes
     for command: a missing or unknown key, or a value of the wrong type or
     outside its choices. None if there is nothing."""
-    schema = _CONFIG_SCHEMA[command]
-    for key, allowed in schema.items():
+    _, options = _COMMANDS[command]
+    for _, key, kwargs in options:
         if key not in config:
             return f"config '{key}' is missing"
-        value = config[key]
+        value, allowed = config[key], _allowed(key, kwargs)
         if isinstance(allowed[0], type):
             if type(value) not in allowed:
                 names = " or ".join("null" if t is _NONE else t.__name__ for t in allowed)
                 return f"config '{key}' must be {names}, got {value!r}"
         elif not any(type(value) is type(choice) and value == choice for choice in allowed):
             return f"config '{key}' must be one of {list(allowed)}, got {value!r}"
-    unknown = sorted(config.keys() - schema.keys())
+    unknown = sorted(config.keys() - {key for _, key, _ in options})
     return f"config has unknown key '{unknown[0]}'" if unknown else None
 
 
 def execute(command: str, config: dict, out_dir: Path) -> Path:
     """Run a command, write its manifest, and return the manifest path."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    for key in _INPUT_KEYS[command]:
+    for key in _input_keys(command):
         if not Path(config[key]).is_file():
             raise ValueError(f"input file not found: {config[key]}")
-    inputs = {str(config[key]): _sha256(Path(config[key])) for key in _INPUT_KEYS[command]}
+    inputs = {str(config[key]): _sha256(Path(config[key])) for key in _input_keys(command)}
 
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
@@ -389,9 +454,7 @@ def execute(command: str, config: dict, out_dir: Path) -> Path:
         "tool": {"name": "walkmf", "version": __version__},
     }
     manifest_path = out_dir / "manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(manifest_path, manifest)
     return manifest_path
 
 
@@ -411,6 +474,17 @@ def _manifest_parts(manifest, manifest_path):
     problem = _config_problem(command, config)
     if problem:
         raise ValueError(f"manifest {manifest_path}: {problem}")
+    # The digests must cover exactly the config's input files, or a changed
+    # input could rerun unchecked.
+    files = [config[key] for key in _input_keys(command)]
+    for path in files:
+        if path not in inputs:
+            raise ValueError(f"manifest {manifest_path}: 'inputs' records no digest "
+                             f"for input file {path}")
+    for path in inputs:
+        if path not in files:
+            raise ValueError(f"manifest {manifest_path}: 'inputs' names {path}, "
+                             f"which is not an input file of its config")
     return command, config, inputs
 
 
@@ -429,80 +503,17 @@ def run_from_manifest(manifest_path, out_dir=None, check_digests: bool = True) -
     return execute(command, config, target_dir)
 
 
-def _add_graph_args(sub):
-    sub.add_argument("--input", "-i", required=True, help="edge-list file")
-    sub.add_argument("--directed", action="store_true", help="treat edges as directed")
-
-
-def _add_target_args(sub):
-    sub.add_argument("--target", choices=TARGET_KINDS, default="softmax",
-                     help="which closed-form target matrix to build")
-    sub.add_argument("--bias", choices=BIAS_MODES, default="zero",
-                     help="softmax target bias mode")
-    sub.add_argument("--negative", "-k", type=_positive_int, default=DEFAULT_NEGATIVES,
-                     help="negative samples per positive (sgns targets)")
-    sub.add_argument("--zero-policy", choices=ZERO_POLICIES, default=None,
-                     help="log(0) handling; defaults to floor for softmax, truncate for sgns")
-    sub.add_argument("--epsilon", type=_positive_float, default=DEFAULT_EPSILON,
-                     help="floor value for zero probabilities")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="walkmf", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"walkmf {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("exact", help="closed-form walk/target matrices for a graph")
-    _add_graph_args(p)
-    p.add_argument("--window", "-t", type=_positive_int, default=DEFAULT_WINDOW)
-    _add_target_args(p)
-    p.add_argument("--format", choices=FORMATS, default="csv")
-    p.add_argument("--out-dir", "-o", required=True)
-
-    p = subs.add_parser("sample", help="sample windowed pair counts from a random walk")
-    _add_graph_args(p)
-    p.add_argument("--window", "-t", type=_positive_int, default=DEFAULT_WINDOW)
-    p.add_argument("--length", "-L", type=_positive_int, required=True,
-                   help="number of walk positions used as centers")
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--workers", type=_positive_int, default=1)
-    p.add_argument("--start-mode", choices=START_MODES, default=None,
-                   help="default: stationary for undirected, uniform for directed")
-    p.add_argument("--start-node", type=_nonnegative_int, default=None)
-    p.add_argument("--burn-in", type=_nonnegative_int, default=None,
-                   help="default: 0 for undirected, 1000 for directed")
-    p.add_argument("--out-dir", "-o", required=True)
-
-    p = subs.add_parser("compare", help="sampled statistics vs their closed forms")
-    _add_graph_args(p)
-    p.add_argument("--counts", required=True, help="counts CSV written by `sample`")
-    p.add_argument("--counts-sidecar", default=None,
-                   help="sidecar JSON (default: counts path with .json suffix)")
-    p.add_argument("--window", "-t", type=_positive_int, default=DEFAULT_WINDOW)
-    p.add_argument("--negative", "-k", type=_positive_int, default=DEFAULT_NEGATIVES)
-    p.add_argument("--out-dir", "-o", required=True)
-
-    p = subs.add_parser("embed", help="factorize a closed-form target into embeddings")
-    _add_graph_args(p)
-    p.add_argument("--window", "-t", type=_positive_int, default=DEFAULT_WINDOW)
-    p.add_argument("--dim", "-d", type=_positive_int, default=DEFAULT_DIM)
-    _add_target_args(p)
-    p.add_argument("--split", choices=SPLITS, default="symmetric",
-                   help="singular-value split between the two factors")
-    p.add_argument("--out-dir", "-o", required=True)
-
-    p = subs.add_parser("train", help="train SGNS embeddings on sampled counts")
-    p.add_argument("--counts", required=True, help="counts CSV written by `sample`")
-    p.add_argument("--counts-sidecar", default=None)
-    p.add_argument("--dim", "-d", type=_positive_int, default=DEFAULT_DIM)
-    p.add_argument("--negative", "-k", type=_positive_int, default=DEFAULT_NEGATIVES)
-    p.add_argument("--epochs", type=_nonnegative_int, default=5)
-    p.add_argument("--lr", type=_positive_float, default=0.1,
-                   help="initial Adam step size, decayed linearly")
-    p.add_argument("--init-scale", type=_positive_float, default=None)
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--out-dir", "-o", required=True)
+    for command, (help_text, options) in _COMMANDS.items():
+        p = subs.add_parser(command, help=help_text)
+        for flags, key, kwargs in options:
+            p.add_argument(*flags, dest=key, **kwargs)
+        p.add_argument("--out-dir", "-o", required=True)
 
     p = subs.add_parser("rerun", help="re-execute a recorded run from its manifest")
     p.add_argument("--manifest", required=True)
@@ -514,71 +525,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> dict:
-    def path_of(value):
-        return str(Path(value).resolve()) if value is not None else None
-
-    if args.command == "exact":
-        return {
-            "input": path_of(args.input),
-            "directed": args.directed,
-            "window": args.window,
-            "target": args.target,
-            "bias": args.bias,
-            "negatives": args.negative,
-            "zero_policy": _resolved_zero_policy(args.zero_policy, args.target),
-            "epsilon": args.epsilon,
-            "format": args.format,
-        }
-    if args.command == "sample":
-        if (args.start_node is not None) != (args.start_mode == "fixed"):
-            raise UsageError("--start-node and --start-mode fixed must be given together")
-        return {
-            "input": path_of(args.input),
-            "directed": args.directed,
-            "window": args.window,
-            "length": args.length,
-            "seed": args.seed,
-            "workers": args.workers,
-            "start_mode": args.start_mode,
-            "start_node": args.start_node,
-            "burn_in": args.burn_in,
-        }
-    if args.command == "compare":
-        counts = Path(args.counts)
-        return {
-            "input": path_of(args.input),
-            "directed": args.directed,
-            "counts": path_of(counts),
-            "counts_sidecar": path_of(args.counts_sidecar or _sidecar_for(counts)),
-            "window": args.window,
-            "negatives": args.negative,
-        }
-    if args.command == "embed":
-        return {
-            "input": path_of(args.input),
-            "directed": args.directed,
-            "window": args.window,
-            "dim": args.dim,
-            "target": args.target,
-            "bias": args.bias,
-            "negatives": args.negative,
-            "zero_policy": _resolved_zero_policy(args.zero_policy, args.target),
-            "epsilon": args.epsilon,
-            "split": args.split,
-        }
-    if args.command == "train":
-        counts = Path(args.counts)
-        return {
-            "counts": path_of(counts),
-            "counts_sidecar": path_of(args.counts_sidecar or _sidecar_for(counts)),
-            "dim": args.dim,
-            "negatives": args.negative,
-            "epochs": args.epochs,
-            "learning_rate": args.lr,
-            "init_scale": args.init_scale,
-            "seed": args.seed,
-        }
-    raise UsageError(f"unknown command {args.command!r}")
+    """The config a command records: each option's value under its key, with
+    the derived defaults filled in and each input file's path resolved."""
+    if args.command == "sample" and (args.start_node is not None) != (args.start_mode == "fixed"):
+        raise UsageError("--start-node and --start-mode fixed must be given together")
+    _, options = _COMMANDS[args.command]
+    config = {key: getattr(args, key) for _, key, _ in options}
+    # Before the paths resolve: the default sidecar sits beside the counts
+    # path as given, even where that is a link.
+    for key, default in _DERIVED_DEFAULTS.items():
+        if key in config and config[key] is None:
+            config[key] = default(config)
+    for key in _input_keys(args.command):
+        config[key] = str(Path(config[key]).resolve())
+    return config
 
 
 def main(argv=None) -> int:

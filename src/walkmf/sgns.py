@@ -19,6 +19,8 @@ sampled updates; it optimizes the objective those updates estimate.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -33,6 +35,7 @@ STEPS_PER_EPOCH = 40  # full-batch steps between two objective log entries
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+MAX_INIT_SCALE = sys.float_info.max / 2
 
 
 @dataclass(frozen=True)
@@ -51,26 +54,19 @@ class TrainConfig:
             raise ValueError(f"negatives must be >= 1, got {self.negatives}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        # Written so that nan fails too, and an int beyond any float.
+        if not 0 < self.learning_rate <= sys.float_info.max:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if self.init_scale is not None and self.init_scale <= 0:
-            raise ValueError(f"init_scale must be > 0, got {self.init_scale}")
+        # uniform(-s, s) needs its width 2s to be a finite float.
+        if self.init_scale is not None and not 0 < self.init_scale <= MAX_INIT_SCALE:
+            raise ValueError(f"init_scale must be > 0 and at most {MAX_INIT_SCALE!r}, "
+                             f"got {self.init_scale}")
 
     @property
     def resolved_init_scale(self) -> float:
         return self.init_scale if self.init_scale is not None else 0.5 / self.dim
-
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "negatives": self.negatives,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "seed": self.seed,
-            "init_scale": self.init_scale,
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,6 +188,9 @@ def dot_matrix(pair: EmbeddingPair) -> np.ndarray:
     return pair.w @ pair.h.T
 
 
+# Overflow can only come from a step size or initial scale too large for
+# the counts; it makes the objective non-finite, which train_sgns reports.
+@np.errstate(over="ignore", invalid="ignore")
 def train_sgns(counts: CooccurrenceCounts, cfg: TrainConfig) -> TrainResult:
     """Full-batch Adam ascent on sgns_objective; deterministic given cfg.
 
@@ -202,7 +201,8 @@ def train_sgns(counts: CooccurrenceCounts, cfg: TrainConfig) -> TrainResult:
     the exact gradient of that block. The step size decays linearly over
     all steps from cfg.learning_rate to LR_FLOOR_RATIO of it. The exact
     objective is recorded before training, by sgns_objective, and after
-    every epoch, from the block being trained.
+    every epoch, from the block being trained. A ValueError names the
+    first epoch whose objective is not finite.
     """
     if counts.total == 0:
         raise ValueError("counts are empty")
@@ -212,7 +212,15 @@ def train_sgns(counts: CooccurrenceCounts, cfg: TrainConfig) -> TrainResult:
     w = rng.uniform(-scale, scale, size=(n, cfg.dim))
     h = rng.uniform(-scale, scale, size=(n, cfg.dim))
     pair = EmbeddingPair(w=w, h=h)
-    history = [sgns_objective(counts, pair, k)]
+    history = []
+
+    def log(objective: float) -> None:
+        if not math.isfinite(objective):
+            raise ValueError(f"the SGNS objective is {objective} at epoch {len(history)}; "
+                             "learning_rate or init_scale is too large for these counts")
+        history.append(objective)
+
+    log(sgns_objective(counts, pair, k))
 
     rows, cols = _observed(counts)
     pos, neg = _weights(counts, k, rows[:, None], cols)
@@ -236,7 +244,7 @@ def train_sgns(counts: CooccurrenceCounts, cfg: TrainConfig) -> TrainResult:
             s += (1.0 - ADAM_BETA2) * g * g
             b += rate * (m / first_bias) / (np.sqrt(s / second_bias) + ADAM_EPSILON)
         if (step + 1) % STEPS_PER_EPOCH == 0:
-            history.append(_block_objective(weight, neg, np.matmul(wb, hb.T, out=x)))
+            log(_block_objective(weight, neg, np.matmul(wb, hb.T, out=x)))
 
     w[rows], h[cols] = block
     return TrainResult(embeddings=pair, objective_per_epoch=history)

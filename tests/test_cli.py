@@ -449,6 +449,34 @@ class TestTrain:
         assert report["steps"] == 3 * STEPS_PER_EPOCH
 
 
+    @pytest.mark.parametrize("flags", [
+        ["--lr", "nan"], ["--lr", "inf"], ["--init-scale", "inf"], ["--init-scale", "nan"],
+    ], ids=["lr-nan", "lr-inf", "init-scale-inf", "init-scale-nan"])
+    def test_non_finite_float_is_usage_error(self, tmp_path, k3_counts_files, capsys, flags):
+        out = tmp_path / "out"
+        code = main(["train", "--counts", str(k3_counts_files), "-d", "2", *flags,
+                     "-o", str(out)])
+        assert code == 1
+        assert f"argument {flags[0]}: must be finite, got {flags[1]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--init-scale", "1e308"], "init_scale must be > 0 and at most"),
+        (["--lr", "1e300"], "the SGNS objective is nan at epoch 1;"),
+        (["--init-scale", "1e154"], "the SGNS objective is nan at epoch 0;"),
+    ], ids=["init-scale-overflows-uniform", "lr-diverges", "init-scale-overflows-objective"])
+    def test_diverging_training_exits_2_writing_nothing(self, tmp_path, k3_counts_files, capsys,
+                                                        flags, message):
+        out = tmp_path / "out"
+        code = main(["train", "--counts", str(k3_counts_files), "-d", "2", "--epochs", "2",
+                     *flags, "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("walkmf: error: ") and message in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+
 class TestManifests:
     def _run_each_command(self, tmp_path, graph_file):
         counts_csv = _analytic_path_counts(tmp_path)
@@ -539,10 +567,141 @@ class TestManifests:
         code = main(["rerun", "--manifest", str(path), "-o", str(tmp_path / "redo")])
         assert (code, capsys.readouterr().err) == (2, f"walkmf: error: manifest {path}: {message}\n")
 
+    @pytest.mark.parametrize("command, edit, message", [
+        ("exact", lambda inputs, files: {},
+         lambda path, files: f"'inputs' records no digest for input file {files[0]}"),
+        ("compare", lambda inputs, files: {files[0]: inputs[files[0]]},
+         lambda path, files: f"'inputs' records no digest for input file {files[1]}"),
+        ("exact", lambda inputs, files: {**inputs, str(files[1]): "0" * 64},
+         lambda path, files: f"'inputs' names {files[1]}, which is not an input file "
+                             "of its config"),
+    ], ids=["exact-no-inputs", "compare-no-counts", "exact-extra-input"])
+    def test_rerun_requires_digests_of_exactly_the_input_files(
+            self, tmp_path, capsys, path_graph_file, command, edit, message):
+        out_dir = self._run_each_command(tmp_path, path_graph_file)[command]
+        manifest = _read_manifest(out_dir)
+        files = [str(path_graph_file.resolve()), str(tmp_path.resolve() / "analytic.csv")]
+        manifest["inputs"] = edit(manifest["inputs"], files)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(manifest))
+        path_graph_file.write_text("0 1\n1 2\n0 2\n")  # a changed input must not rerun
+        code = main(["rerun", "--manifest", str(path), "-o", str(tmp_path / "redo")])
+        assert (code, capsys.readouterr().err) == (
+            2, f"walkmf: error: manifest {path}: {message(path, files)}\n")
+        assert not (tmp_path / "redo").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("learning_rate", math.nan, "learning_rate must be finite and > 0, got nan"),
+        ("learning_rate", math.inf, "learning_rate must be finite and > 0, got inf"),
+        ("init_scale", 1e308, "init_scale must be > 0 and at most"),
+    ], ids=["lr-nan", "lr-inf", "init-scale-too-large"])
+    def test_rerun_rejects_train_floats_that_corrupt_training(self, tmp_path, capsys,
+                                                              path_graph_file, key, value,
+                                                              message):
+        out_dir = self._run_each_command(tmp_path, path_graph_file)["train"]
+        manifest = _read_manifest(out_dir)
+        manifest["config"][key] = value
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(manifest))  # nan and inf as JSON's NaN and Infinity
+        redo = tmp_path / "redo"
+        code = main(["rerun", "--manifest", str(path), "-o", str(redo)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("walkmf: error: ") and message in err
+        assert list(redo.iterdir()) == []
+
     def test_commands_do_not_mutate_inputs(self, tmp_path, path_graph_file):
         before = path_graph_file.read_bytes()
         self._run_each_command(tmp_path, path_graph_file)
         assert path_graph_file.read_bytes() == before
+
+
+class TestRecordedConfig:
+    """The config each command records, from a minimal argv and from one that
+    sets every flag to a value other than its default."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        graph = tmp_path / "triangle.edges"
+        graph.write_text("0 1\n1 2\n2 0\n")  # strongly connected as a directed graph too
+        counts_csv = _analytic_path_counts(tmp_path)
+        sidecar = tmp_path / "side.json"
+        sidecar.write_bytes((tmp_path / "analytic.json").read_bytes())
+        return {"graph": graph, "counts": counts_csv, "sidecar": sidecar,
+                "graph_path": str(graph.resolve()), "counts_path": str(counts_csv.resolve()),
+                "default_sidecar": str((tmp_path / "analytic.json").resolve()),
+                "sidecar_path": str(sidecar.resolve())}
+
+    def _config(self, out, argv):
+        assert main([*map(str, argv), "-o", str(out)]) == 0
+        return _read_manifest(out)["config"]
+
+    def test_exact(self, tmp_path, files):
+        assert self._config(tmp_path / "min", ["exact", "-i", files["graph"]]) == {
+            "input": files["graph_path"], "directed": False, "window": 5, "target": "softmax",
+            "bias": "zero", "negatives": 5, "zero_policy": "floor", "epsilon": 1e-12,
+            "format": "csv"}
+        assert self._config(tmp_path / "full", [
+            "exact", "--input", files["graph"], "--directed", "--window", "3",
+            "--target", "sgns", "--bias", "log2t", "--negative", "2", "--zero-policy", "mask",
+            "--epsilon", "1e-9", "--format", "json"]) == {
+            "input": files["graph_path"], "directed": True, "window": 3, "target": "sgns",
+            "bias": "log2t", "negatives": 2, "zero_policy": "mask", "epsilon": 1e-9,
+            "format": "json"}
+
+    def test_sample(self, tmp_path, files):
+        assert self._config(tmp_path / "min", ["sample", "-i", files["graph"], "-L", "20"]) == {
+            "input": files["graph_path"], "directed": False, "window": 5, "length": 20,
+            "seed": 0, "workers": 1, "start_mode": None, "start_node": None, "burn_in": None}
+        assert self._config(tmp_path / "full", [
+            "sample", "--input", files["graph"], "--directed", "--window", "2",
+            "--length", "30", "--seed", "4", "--workers", "2", "--start-mode", "fixed",
+            "--start-node", "1", "--burn-in", "3"]) == {
+            "input": files["graph_path"], "directed": True, "window": 2, "length": 30,
+            "seed": 4, "workers": 2, "start_mode": "fixed", "start_node": 1, "burn_in": 3}
+
+    def test_compare(self, tmp_path, files):
+        assert self._config(tmp_path / "min", ["compare", "-i", files["graph"],
+                                                "--counts", files["counts"]]) == {
+            "input": files["graph_path"], "directed": False, "counts": files["counts_path"],
+            "counts_sidecar": files["default_sidecar"], "window": 5, "negatives": 5}
+        assert self._config(tmp_path / "full", [
+            "compare", "--input", files["graph"], "--directed", "--counts", files["counts"],
+            "--counts-sidecar", files["sidecar"], "--window", "2", "--negative", "2"]) == {
+            "input": files["graph_path"], "directed": True, "counts": files["counts_path"],
+            "counts_sidecar": files["sidecar_path"], "window": 2, "negatives": 2}
+
+    def test_embed(self, tmp_path, files):
+        assert self._config(tmp_path / "min", ["embed", "-i", files["graph"], "-d", "2"]) == {
+            "input": files["graph_path"], "directed": False, "window": 5, "dim": 2,
+            "target": "softmax", "bias": "zero", "negatives": 5, "zero_policy": "floor",
+            "epsilon": 1e-12, "split": "symmetric"}
+        assert self._config(tmp_path / "full", [
+            "embed", "--input", files["graph"], "--directed", "--window", "2", "--dim", "3",
+            "--target", "sgns", "--bias", "log2t", "--negative", "2", "--zero-policy", "floor",
+            "--epsilon", "1e-6", "--split", "left"]) == {
+            "input": files["graph_path"], "directed": True, "window": 2, "dim": 3,
+            "target": "sgns", "bias": "log2t", "negatives": 2, "zero_policy": "floor",
+            "epsilon": 1e-6, "split": "left"}
+
+    def test_train(self, tmp_path, files):
+        assert self._config(tmp_path / "min", ["train", "--counts", files["counts"]]) == {
+            "counts": files["counts_path"], "counts_sidecar": files["default_sidecar"],
+            "dim": 64, "negatives": 5, "epochs": 5, "learning_rate": 0.1, "init_scale": None,
+            "seed": 0}
+        assert self._config(tmp_path / "full", [
+            "train", "--counts", files["counts"], "--counts-sidecar", files["sidecar"],
+            "--dim", "3", "--negative", "2", "--epochs", "2", "--lr", "0.05",
+            "--init-scale", "0.2", "--seed", "7"]) == {
+            "counts": files["counts_path"], "counts_sidecar": files["sidecar_path"],
+            "dim": 3, "negatives": 2, "epochs": 2, "learning_rate": 0.05, "init_scale": 0.2,
+            "seed": 7}
+
+    def test_short_flags_record_what_long_ones_do(self, tmp_path, files):
+        short = ["embed", "-i", files["graph"], "-t", "2", "-k", "3", "-d", "2"]
+        long = ["embed", "--input", files["graph"], "--window", "2", "--negative", "3",
+                "--dim", "2"]
+        assert self._config(tmp_path / "short", short) == self._config(tmp_path / "long", long)
 
 
 class TestClosedFormsBuiltOnce:

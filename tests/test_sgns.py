@@ -306,6 +306,34 @@ class TestTrainSgns:
         with pytest.raises(ValueError, match="empty"):
             train_sgns(counts, TrainConfig(dim=2))
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"learning_rate": math.nan}, "learning_rate must be finite"),
+        ({"learning_rate": math.inf}, "learning_rate must be finite"),
+        ({"learning_rate": 10 ** 400}, "learning_rate must be finite"),
+        ({"init_scale": math.nan}, "init_scale must be > 0 and at most"),
+        ({"init_scale": math.inf}, "init_scale must be > 0 and at most"),
+        ({"init_scale": np.finfo(float).max}, "init_scale must be > 0 and at most"),
+    ], ids=["lr-nan", "lr-inf", "lr-huge-int", "init-scale-nan", "init-scale-inf",
+            "init-scale-float-max"])
+    def test_config_rejects_floats_training_cannot_use(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(dim=2, **changes)
+
+    def test_largest_init_scale_still_draws(self):
+        # uniform(-s, s) draws while its width 2s is a finite float.
+        scale = np.finfo(float).max / 2
+        rng = np.random.default_rng(0)
+        assert np.isfinite(rng.uniform(-scale, scale, size=4)).all()
+        assert TrainConfig(dim=2, init_scale=float(scale)).init_scale == scale
+
+    @pytest.mark.parametrize("cfg, epoch", [
+        (TrainConfig(dim=2, negatives=1, epochs=3, learning_rate=1e300, seed=1), 1),
+        (TrainConfig(dim=2, negatives=1, epochs=3, init_scale=1e154, seed=1), 0),
+    ], ids=["step-size", "init-scale"])
+    def test_names_the_first_epoch_whose_objective_is_not_finite(self, cfg, epoch):
+        with pytest.raises(ValueError, match=f"objective is nan at epoch {epoch};"):
+            train_sgns(_uniform_k3_counts(), cfg)
+
     def test_full_dimension_all_positive_counts_reach_closed_form(self):
         # With d = n and every count positive, trained dot products approach
         # PMI - log k entrywise.
