@@ -432,8 +432,24 @@ def _config_problem(command: str, config: dict):
 
 
 def execute(command: str, config: dict, out_dir: Path) -> Path:
-    """Run a command, write its manifest, and return the manifest path."""
+    """Run a command, write its manifest, and return the manifest path.
+
+    If the command fails, the directories this call created for out_dir
+    are removed again, innermost first, as long as they are empty; one that
+    existed before, or that holds files, is left as it is."""
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        return _execute(command, config, out_dir)
+    except BaseException:
+        for directory in created:
+            if any(directory.iterdir()):
+                break
+            directory.rmdir()
+        raise
+
+
+def _execute(command: str, config: dict, out_dir: Path) -> Path:
     for key in _input_keys(command):
         if not Path(config[key]).is_file():
             raise ValueError(f"input file not found: {config[key]}")

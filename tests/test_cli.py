@@ -345,6 +345,7 @@ class TestMalformedCounts:
         assert err.startswith("walkmf: error:")
         assert named in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestEmbed:
@@ -474,7 +475,34 @@ class TestTrain:
         assert code == 2
         assert err.startswith("walkmf: error: ") and message in err
         assert "Traceback" not in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    def test_failure_removes_the_parents_it_created(self, tmp_path, k3_counts_files):
+        out = tmp_path / "new" / "nested" / "out"
+        assert main(["train", "--counts", str(k3_counts_files), "-d", "2", "--lr", "1e300",
+                     "-o", str(out)]) == 2
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("before", [[], ["notes.txt"]], ids=["empty", "holding-a-file"])
+    def test_failure_keeps_an_out_dir_that_existed(self, tmp_path, k3_counts_files, before):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in before:
+            (out / name).write_text("kept\n")
+        assert main(["train", "--counts", str(k3_counts_files), "-d", "2", "--lr", "1e300",
+                     "-o", str(out)]) == 2
+        assert sorted(p.name for p in out.iterdir()) == before
+
+    def test_failure_keeps_a_new_out_dir_holding_files(self, tmp_path, path_graph_file,
+                                                       monkeypatch):
+        def fails_after_a_write(config, out_dir):
+            (out_dir / "partial.csv").write_text("0\n")
+            raise ValueError("failed after a write")
+
+        monkeypatch.setitem(walkmf.cli._RUNNERS, "exact", fails_after_a_write)
+        out = tmp_path / "out"
+        assert main(["exact", "-i", str(path_graph_file), "-o", str(out)]) == 2
+        assert [p.name for p in out.iterdir()] == ["partial.csv"]
 
 
 class TestManifests:
@@ -608,7 +636,7 @@ class TestManifests:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("walkmf: error: ") and message in err
-        assert list(redo.iterdir()) == []
+        assert not redo.exists()
 
     def test_commands_do_not_mutate_inputs(self, tmp_path, path_graph_file):
         before = path_graph_file.read_bytes()

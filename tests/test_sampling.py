@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import os
 import pickle
 import tracemalloc
@@ -33,7 +35,7 @@ from walkmf import (
     write_counts_csv,
     write_counts_sidecar,
 )
-from walkmf import sampling
+from walkmf import parallel, sampling
 from walkmf.cli import main
 
 # chi-square critical value, 1 degree of freedom, alpha = 0.001
@@ -199,6 +201,19 @@ class TestGuessedWalk:
                             start_mode="fixed", start_node=2)
         assert generate_walk(g, cfg).nodes.tolist() == _reference_walk(g, cfg)
         assert small_chunks == [2]
+
+    @pytest.mark.parametrize("g", [random_connected_graph(12, seed=5, extra_edges=10),
+                                   random_strongly_connected_digraph(12, seed=3, extra_edges=40)],
+                             ids=["undirected", "directed"])
+    def test_lockstep_pieces_with_a_short_last_piece(self, small_chunks, monkeypatch, g):
+        # Pieces of 5 steps leave a short last piece in the 4-step lead-in
+        # and in the 16-step segment.
+        monkeypatch.setattr(sampling, "_LOCKSTEP_PIECE", 5)
+        cfg = SamplerConfig(window=3, centers=self.STEPS - 2, seed=17,
+                            start_mode="fixed", start_node=4)
+        walk = generate_walk(g, cfg).nodes.tolist()
+        assert walk == _reference_walk(g, cfg)
+        assert small_chunks == [walk[lo - 1] for lo in range(1, 6001, 1000)]
 
     @pytest.mark.parametrize("steps, guessed", [(4 * 16 - 1, []), (4 * 16, [0])],
                              ids=["63-steps", "64-steps"])
@@ -495,6 +510,50 @@ class TestEmpiricalStatistics:
             distances.append(np.nanmax(np.abs(empirical_conditional(counts) - p)))
         assert distances[-1] < 0.01
         assert distances[-1] < distances[0]
+
+
+def _csv_writer_counts(mat):
+    """The counts file as csv.writer writes it, one row at a time."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(["v", "c", "count"])
+    for v, c in zip(*np.nonzero(mat)):
+        writer.writerow([int(v), int(c), int(mat[v, c])])
+    return buffer.getvalue().encode()
+
+
+def _runs_matrix(seed):
+    # Rows of 0, 1, 2, 4 and hundreds of nonzero counts in random order, so
+    # some slices hold only short runs and long runs cross slices.
+    rng = np.random.default_rng(seed)
+    n = 300
+    mat = np.zeros((n, n), dtype=np.int64)
+    for v, k in enumerate(rng.choice([0, 1, 1, 2, 2, 4, 250], size=n)):
+        mat[v, rng.choice(n, size=k, replace=False)] = rng.integers(1, 10**6, size=k)
+    mat[rng.integers(n), rng.integers(n)] = 2**31 + 7
+    return mat
+
+
+def _single_entry():
+    mat = np.zeros((5, 5), dtype=np.int64)
+    mat[3, 1] = 2**40
+    return mat
+
+
+class TestWriteCountsCsv:
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("mat", [_runs_matrix(1), _runs_matrix(2), _single_entry(),
+                                     np.zeros((4, 4), dtype=np.int64)],
+                             ids=["mixed-runs-a", "mixed-runs-b", "single-entry", "all-zero"])
+    def test_matches_csv_writer(self, tmp_path, monkeypatch, cores, mat):
+        if cores > 1 and not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+            pytest.skip("needs os.fork and os.sched_getaffinity")
+        # Slices of 40 rows, and every file split into `cores` blocks.
+        monkeypatch.setattr(parallel, "available_cores", lambda: cores)
+        monkeypatch.setattr(parallel, "_SPLIT_VALUES", 1)
+        monkeypatch.setattr(parallel, "_SLICE_VALUES", 120)
+        write_counts_csv(CooccurrenceCounts.from_matrix(mat), tmp_path / "counts.csv")
+        assert (tmp_path / "counts.csv").read_bytes() == _csv_writer_counts(mat)
 
 
 class TestCountsIO:
