@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -43,7 +43,6 @@ from .graphs import (
 )
 from .sampling import (
     START_MODES,
-    SamplerConfig,
     default_sampler_config,
     empirical_conditional,
     empirical_frequency,
@@ -200,17 +199,10 @@ def run_exact(config: dict, out_dir: Path) -> list[str]:
 
 def run_sample(config: dict, out_dir: Path) -> list[str]:
     g = load_edge_list(config["input"], directed=config["directed"])
-    base = default_sampler_config(g, window=config["window"], centers=config["length"],
-                                  seed=config["seed"], workers=config["workers"])
-    cfg = SamplerConfig(
-        window=base.window,
-        centers=base.centers,
-        seed=base.seed,
-        start_mode=config["start_mode"] or base.start_mode,
-        start_node=config["start_node"],
-        burn_in=base.burn_in if config["burn_in"] is None else config["burn_in"],
-        workers=base.workers,
-    )
+    given = {key: config[key] for key in ("start_mode", "burn_in") if config[key] is not None}
+    cfg = replace(default_sampler_config(g, window=config["window"], centers=config["length"],
+                                         seed=config["seed"], workers=config["workers"]),
+                  start_node=config["start_node"], **given)
     counts = sample_counts(g, cfg)
     write_counts_csv(counts, out_dir / "counts.csv")
     write_counts_sidecar(counts, out_dir / "counts.json", cfg)

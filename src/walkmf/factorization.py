@@ -162,7 +162,9 @@ def write_embedding_matrix(mat: np.ndarray, path) -> None:
     line = "%d " + " ".join(["%.17g"] * d) + "\n"
 
     def format_rows(lo: int, hi: int) -> str:
-        return "".join([line % (i, *row) for i, row in enumerate(mat[lo:hi].tolist(), lo)])
+        # The ids ride along as floats: "%d" % 5.0 is "5".
+        block = np.column_stack((np.arange(lo, hi), mat[lo:hi]))
+        return (line * (hi - lo)) % tuple(block.ravel().tolist())
 
     write_rows(path, n, format_rows, d + 1, head=f"{n} {d}\n")
 

@@ -161,71 +161,54 @@ def is_probability_vector(vec: np.ndarray, tol: float = PROB_TOL) -> bool:
     return vec.ndim == 1 and bool(np.all(vec >= -tol)) and abs(float(vec.sum()) - 1.0) < tol
 
 
-def _components_undirected(g: Graph) -> int:
-    seen = np.zeros(g.n, dtype=bool)
+def _count_components(g: Graph) -> int:
+    """Strongly connected components by Tarjan's one pass (SIAM J. Comput.
+    1(2), 1972), iterative. An undirected graph stores each edge both ways,
+    so its strong components are its connected components."""
     indptr, indices = g.indptr.tolist(), g.indices.tolist()
-    count = 0
+    index = [-1] * g.n
+    low = [0] * g.n
+    on_stack = [False] * g.n
+    stack: list[int] = []
+    visited = count = 0
     for root in range(g.n):
-        if seen[root]:
+        if index[root] >= 0:
             continue
-        count += 1
-        stack = [root]
-        seen[root] = True
-        while stack:
-            node = stack.pop()
-            for nb in indices[indptr[node]:indptr[node + 1]]:
-                if not seen[nb]:
-                    seen[nb] = True
-                    stack.append(nb)
-    return count
-
-
-def _components_strong(g: Graph) -> int:
-    # Kosaraju, iterative: finish order on g, then sweep the reverse graph.
-    indptr, indices = g.indptr.tolist(), g.indices.tolist()
-    order: list[int] = []
-    seen = np.zeros(g.n, dtype=bool)
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        stack: list[tuple[int, int]] = [(root, indptr[root])]
-        seen[root] = True
-        while stack:
-            node, pos = stack[-1]
-            if pos < indptr[node + 1]:
-                stack[-1] = (node, pos + 1)
+        calls = [(root, -1)]  # (node, its next arc), -1 until the node is entered
+        while calls:
+            node, pos = calls[-1]
+            if pos < 0:
+                index[node] = low[node] = visited
+                visited += 1
+                stack.append(node)
+                on_stack[node] = True
+                pos = indptr[node]
+            end = indptr[node + 1]
+            while pos < end:
                 nb = indices[pos]
-                if not seen[nb]:
-                    seen[nb] = True
-                    stack.append((nb, indptr[nb]))
-            else:
-                order.append(node)
-                stack.pop()
-
-    sources = np.repeat(np.arange(g.n), g.degrees)
-    indptr, indices = (a.tolist() for a in _csr(g.indices, sources, g.n))
-    seen[:] = False
-    count = 0
-    for root in reversed(order):
-        if seen[root]:
-            continue
-        count += 1
-        todo = [root]
-        seen[root] = True
-        while todo:
-            node = todo.pop()
-            for nb in indices[indptr[node]:indptr[node + 1]]:
-                if not seen[nb]:
-                    seen[nb] = True
-                    todo.append(nb)
+                pos += 1
+                if index[nb] < 0:
+                    calls[-1] = (node, pos)
+                    calls.append((nb, -1))
+                    break
+                if on_stack[nb] and index[nb] < low[node]:
+                    low[node] = index[nb]
+            else:  # every arc scanned: node is finished
+                calls.pop()
+                if calls and low[node] < low[calls[-1][0]]:
+                    low[calls[-1][0]] = low[node]
+                if low[node] == index[node]:
+                    count += 1
+                    member = -1
+                    while member != node:
+                        member = stack.pop()
+                        on_stack[member] = False
     return count
 
 
 def check_connectivity(g: Graph) -> ConnectivityReport:
     """Count (strongly) connected components; `connected` means exactly one."""
-    if g.n == 0:
-        return ConnectivityReport(connected=False, components=0, directed=g.directed)
-    comps = _components_strong(g) if g.directed else _components_undirected(g)
+    comps = _count_components(g)
     return ConnectivityReport(connected=comps == 1, components=comps, directed=g.directed)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import Iterable, Optional
 
@@ -55,6 +55,8 @@ _PAIR_BLOCK = 1 << 18  # centers whose pair codes are built at a time
 # 2730-row slices of 3-digit centers, runs of 2 rows formatted 1.6x slower,
 # runs of 7 broke even and runs of 16 were 15% faster.
 _CSV_RUN_ROWS = 8
+# Most pairs a count set may hold: below it every int64 marginal is exact.
+_MAX_TOTAL = 2**62
 
 
 @dataclass(frozen=True)
@@ -91,15 +93,7 @@ class SamplerConfig:
             raise ValueError("start_mode 'fixed' requires start_node")
 
     def to_dict(self) -> dict:
-        return {
-            "window": self.window,
-            "centers": self.centers,
-            "seed": self.seed,
-            "start_mode": self.start_mode,
-            "start_node": self.start_node,
-            "burn_in": self.burn_in,
-            "workers": self.workers,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SamplerConfig":
@@ -143,7 +137,7 @@ class CooccurrenceCounts:
     c. The marginals are derived from it here and nowhere else:
     `node_counts[v]` = #(v) (row sums), `context_counts[c]` = #(c) (column
     sums), `total` = |D|. `dense` is a read-only view, so they cannot
-    disagree with it.
+    disagree with it, and it may hold at most 2**62 pairs, so none wraps.
     """
 
     dense: np.ndarray
@@ -160,6 +154,8 @@ class CooccurrenceCounts:
         mat = mat.astype(np.int64, copy=False).view()
         if np.any(mat < 0):
             raise ValueError("counts must be non-negative")
+        if mat.sum(dtype=float) > _MAX_TOTAL:
+            raise ValueError("counts total more than 2**62 pairs; their int64 sums could wrap")
         mat.flags.writeable = False
         object.__setattr__(self, "dense", mat)
         object.__setattr__(self, "node_counts", mat.sum(axis=1))
@@ -482,9 +478,9 @@ def read_counts_csv(path, sidecar_path) -> tuple[CooccurrenceCounts, Optional[Sa
     a row without exactly three integer fields, a node id outside 0..n-1, a
     negative count, a repeated (v, c) row, a sidecar that is not JSON, lacks
     `n`, `total`, `node_counts` or `context_counts`, has marginals that are
-    not lists of n integers or a malformed `sampler_config`, and marginals
-    that disagree with the rows. Rows may end in \r\n or \n; a header-only
-    file holds all-zero counts.
+    not lists of n integers or a malformed `sampler_config`, marginals that
+    disagree with the rows, and rows totalling more than 2**62 pairs. Rows
+    may end in \r\n or \n; a header-only file holds all-zero counts.
     """
     with open(sidecar_path, "r", encoding="utf-8") as fh:
         try:
@@ -529,7 +525,10 @@ def read_counts_csv(path, sidecar_path) -> tuple[CooccurrenceCounts, Optional[Sa
         raise ValueError(f"{path}: repeated (v, c) row")
     mat = np.zeros((n, n), dtype=np.int64)
     mat[v, c] = cnt
-    counts = CooccurrenceCounts(mat)
+    try:
+        counts = CooccurrenceCounts(mat)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     for key in ("total", "node_counts", "context_counts"):
         if not np.array_equal(getattr(counts, key), meta[key]):
             raise ValueError(f"{path}: counts file {key} disagrees with sidecar {sidecar_path}")

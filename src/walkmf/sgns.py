@@ -96,7 +96,8 @@ def _weights(counts: CooccurrenceCounts, negatives: int, v: np.ndarray,
     if counts.total == 0:
         raise ValueError("counts are empty")
     pos = counts.dense[v, c].astype(float)
-    neg = negatives * counts.node_counts[v] * counts.context_counts[c] / counts.total
+    # In floats: k #(v) #(c) can pass 2^63 where every factor fits in int64.
+    neg = negatives * counts.node_counts[v].astype(float) * counts.context_counts[c] / counts.total
     return pos, neg
 
 

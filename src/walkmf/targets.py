@@ -10,7 +10,7 @@ so every target is factorizable (or carries a mask).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -72,12 +72,7 @@ class ComparisonReport:
     excluded: int
 
     def to_dict(self) -> dict:
-        return {
-            "max_abs": self.max_abs,
-            "mean_abs": self.mean_abs,
-            "compared": self.compared,
-            "excluded": self.excluded,
-        }
+        return asdict(self)
 
 
 def walk_probability_matrix(g: Graph, window: int,
@@ -171,12 +166,13 @@ def sgns_target_from_counts(counts: CooccurrenceCounts, k: int = 1,
         raise ValueError("counts are empty")
     raw = counts.dense.astype(float)
     raw *= counts.total
-    # The denominator k #(i) #(j) (the int64 product, then a float) is made a
-    # block of rows at a time, so raw is the only n x n array built here.
+    # The denominator k #(i) #(j), formed in floats (the int64 product can
+    # wrap), is made a block of rows at a time, so raw is the only n x n
+    # array built here.
     rows_per_block = max(1, _DENOM_BLOCK // counts.n)
     for lo in range(0, counts.n, rows_per_block):
         rows = slice(lo, lo + rows_per_block)
-        denom = k * np.outer(counts.node_counts[rows], counts.context_counts).astype(float)
+        denom = k * np.outer(counts.node_counts[rows].astype(float), counts.context_counts)
         np.divide(raw[rows], denom, out=raw[rows], where=denom > 0)
     values, mask = _log_with_policy(raw, zero_policy, epsilon)
     absent = counts.node_counts == 0

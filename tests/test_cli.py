@@ -334,10 +334,27 @@ class TestMalformedCounts:
                           json.loads(sidecar_path.read_text()))
         csv_path.write_text(text, newline="")
         sidecar_path.write_text(meta if isinstance(meta, str) else json.dumps(meta))
+        self._assert_exits_2(tmp_path, path_graph_file, capsys, command, csv_path, named)
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_marginals_past_int64_exit_2(self, tmp_path, path_graph_file, capsys, command):
+        # Row 0 and the total pass 2^63 - 1. The sidecar holds the sums as
+        # int64 wraps them, so they agree with the rows.
+        big = 2**62
+        csv_path = tmp_path / "counts.csv"
+        csv_path.write_text(f"v,c,count\r\n0,1,{big}\r\n0,2,{big}\r\n1,0,1\r\n2,0,1\r\n",
+                            newline="")
+        (tmp_path / "counts.json").write_text(json.dumps({
+            "n": 3, "total": -2**63 + 2, "node_counts": [-2**63, 1, 1],
+            "context_counts": [2, big, big]}))
+        self._assert_exits_2(tmp_path, path_graph_file, capsys, command, csv_path, "2**62")
+
+    @staticmethod
+    def _assert_exits_2(tmp_path, graph, capsys, command, csv_path, named):
         argv = {
             "train": ["train", "--counts", str(csv_path), "-d", "2", "-k", "1",
                       "--epochs", "1", "-o", str(tmp_path / "out")],
-            "compare": ["compare", "-i", str(path_graph_file), "--counts", str(csv_path),
+            "compare": ["compare", "-i", str(graph), "--counts", str(csv_path),
                         "-t", "2", "-k", "1", "-o", str(tmp_path / "out")],
         }[command]
         assert main(argv) == 2
@@ -400,6 +417,20 @@ class TestEmbed:
 
 
 class TestTrain:
+    def test_upper_bound_where_k_times_the_marginals_pass_int64(self, tmp_path):
+        # k #(0) #(1) = 5 * 2e9 * 2e9 = 2e19 > 2^63 - 1; every count fits.
+        counts = CooccurrenceCounts.from_matrix(np.array([[0, 2 * 10**9], [2 * 10**9, 0]]))
+        write_counts_csv(counts, tmp_path / "k2.csv")
+        write_counts_sidecar(counts, tmp_path / "k2.json")
+        out = tmp_path / "out"
+        assert main(["train", "--counts", str(tmp_path / "k2.csv"), "-d", "2", "-k", "5",
+                     "--epochs", "1", "-o", str(out)]) == 0
+        pos, neg = 2e9, 5 * 2e9 * 2e9 / 4e9
+        x_star = math.log(pos / neg)
+        expected = 2 * (pos * -math.log1p(math.exp(-x_star)) + neg * -math.log1p(math.exp(x_star)))
+        report = json.loads((out / "comparison.json").read_text())
+        assert report["upper_bound"] == pytest.approx(expected, rel=1e-12)
+
     def test_k3_counts_converge(self, tmp_path, k3_counts_files):
         out = tmp_path / "out"
         code = main(["train", "--counts", str(k3_counts_files), "-d", "3", "-k", "1",

@@ -1,9 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphgen import path3, random_connected_graph, random_strongly_connected_digraph, triangle
+from walkmf import parallel
 from walkmf import (
     EmbeddingPair,
     FactorizationError,
@@ -263,3 +266,19 @@ class TestEmbeddingIO:
         (tmp_path / "w.txt").write_text("2 1\n0 1.5\n")
         with pytest.raises(ValueError, match="missing"):
             read_embedding_matrix(tmp_path / "w.txt")
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_bytes_match_a_per_line_formatter(self, tmp_path, monkeypatch, cores):
+        if cores > 1 and not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+            pytest.skip("needs os.fork and os.sched_getaffinity")
+        mat = np.random.default_rng(3).normal(size=(23, 4)) * 10.0 ** np.arange(-8, 8, 4)
+        mat[0, :] = [-0.0, 1e-300, np.inf, -np.inf]
+        mat[11, 2] = -0.0
+        # Slices of 5 rows, which do not divide the blocks of a split file.
+        monkeypatch.setattr(parallel, "available_cores", lambda: cores)
+        monkeypatch.setattr(parallel, "_SPLIT_VALUES", 1)
+        monkeypatch.setattr(parallel, "_SLICE_VALUES", 25)
+        write_embedding_matrix(mat, tmp_path / "w.txt")
+        line = "%d " + " ".join(["%.17g"] * 4) + "\n"
+        expected = "23 4\n" + "".join(line % (i, *row) for i, row in enumerate(mat.tolist()))
+        assert (tmp_path / "w.txt").read_bytes() == expected.encode()

@@ -282,3 +282,57 @@ class TestConnectivity:
         report = check_connectivity(parse_edge_list("0 2\n"))
         assert not report.connected
         assert report.components == 2
+
+    @pytest.mark.parametrize("seed, directed, shape", [
+        (0, False, "any"), (1, True, "any"), (2, True, "dag"), (3, True, "two_cycles"),
+    ], ids=["undirected", "directed", "dag", "two-cycles"])
+    def test_matches_transitive_closure_oracle(self, seed, directed, shape):
+        rng = np.random.default_rng(seed)
+        for _ in range(80):
+            g = _random_graph(rng, int(rng.integers(0, 31)), directed, shape)
+            report = check_connectivity(g)
+            comps = _components_oracle(g)
+            assert (report.connected, report.components) == (comps == 1, comps), g.edges
+            assert report.directed == directed
+
+    def test_long_directed_cycle_is_one_component(self):
+        assert check_connectivity(cycle(20_000, directed=True)).components == 1
+
+    def test_long_undirected_path_is_one_component(self):
+        g = Graph(n=20_000, edges=tuple((i, i + 1) for i in range(19_999)))
+        assert check_connectivity(g).components == 1
+
+
+def _random_graph(rng, n, directed, shape):
+    """Seeded graph on n nodes with density drawn per graph, so isolated
+    nodes, trees and dense blocks all occur. `dag` orients every arc along a
+    random order; `two_cycles` adds each directed arc's reverse half the time."""
+    order = rng.permutation(n)
+    density = rng.uniform(0, 0.3)
+    arcs = set()
+    for u in range(n):
+        for v in range(n):
+            if u == v or rng.uniform() >= density:
+                continue
+            a, b = (v, u) if shape == "dag" and order[u] > order[v] else (u, v)
+            arcs.add((a, b) if directed else (min(a, b), max(a, b)))
+            if directed and shape == "two_cycles" and rng.uniform() < 0.5:
+                arcs.add((b, a))
+    return Graph(n=n, edges=tuple(sorted(arcs)), directed=directed)
+
+
+def _components_oracle(g):
+    """Components as classes of mutual reachability: reach is the boolean
+    transitive closure of I + A, by repeated squaring."""
+    reach = np.eye(g.n, dtype=bool)
+    for u, v in g.edges:
+        reach[u, v] = True
+        if not g.directed:
+            reach[v, u] = True
+    while True:
+        step = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+        if np.array_equal(step, reach):
+            break
+        reach = step
+    mutual = reach & reach.T
+    return len({row.tobytes() for row in mutual})

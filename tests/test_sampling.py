@@ -606,10 +606,21 @@ class TestCountsValidation:
         np.zeros((2, 2, 2), dtype=np.int64),       # not 2-D
         np.array([[0, -1], [1, 0]]),               # negative
         np.array([[0.0, 1.5], [1.5, 0.0]]),        # not integers
+        np.array([[0, 2**62], [2**62, 0]]),        # total 2**63 wraps
     ])
     def test_constructor_rejects(self, mat):
         with pytest.raises(ValueError):
             CooccurrenceCounts.from_matrix(mat)
+
+    def test_rejects_counts_whose_marginals_would_wrap(self):
+        # Row 0 sums to 2^63, one past the int64 range.
+        mat = np.array([[0, 2**62, 2**62], [1, 0, 0], [1, 0, 0]])
+        with pytest.raises(ValueError, match=r"2\*\*62"):
+            CooccurrenceCounts.from_matrix(mat)
+
+    def test_accepts_2_to_the_62_pairs(self):
+        counts = CooccurrenceCounts.from_matrix(np.array([[0, 2**61], [2**61, 0]]))
+        assert counts.total == 2**62
 
     def test_marginals_are_derived_from_the_matrix(self):
         counts = CooccurrenceCounts.from_matrix(np.array([[0, 2, 1], [3, 0, 0], [1, 0, 4]]))

@@ -74,6 +74,15 @@ class TestObjective:
         assert value <= bound + 1e-9
         assert abs(value - bound) < 1e-6
 
+    def test_upper_bound_where_k_times_the_marginals_pass_int64(self):
+        # k #(0) #(1) = 5 * 2e9 * 2e9 = 2e19 > 2^63 - 1; every count fits.
+        counts = _k2_counts(per_pair=2 * 10**9)
+        pos, neg = 2e9, 5 * 2e9 * 2e9 / 4e9
+        x_star = math.log(pos / neg)
+        expected = 2 * (pos * _log_sigmoid(x_star) + neg * _log_sigmoid(-x_star))
+        assert neg == 5e9
+        assert sgns_objective_upper_bound(counts, negatives=5) == pytest.approx(expected, rel=1e-12)
+
     def test_dimension_mismatch_rejected(self):
         pair = EmbeddingPair(w=np.zeros((2, 2)), h=np.zeros((2, 2)))
         with pytest.raises(ValueError, match="nodes"):

@@ -189,6 +189,12 @@ class TestSgnsTargetFromCounts:
         with pytest.raises(ValueError):
             sgns_target_from_counts(_uniform_k3_counts(), k=0)
 
+    def test_k2_counts_whose_marginal_product_passes_int64(self):
+        # #(0) #(1) = 4e9 * 4e9 = 1.6e19 > 2^63 - 1; every count fits.
+        counts = CooccurrenceCounts.from_matrix(np.array([[0, 4 * 10**9], [4 * 10**9, 0]]))
+        target = sgns_target_from_counts(counts, k=1)
+        assert target.values[0, 1] == target.values[1, 0] == math.log(2.0)
+
 
 class TestSgnsTargetExact:
     def test_triangle_k1(self):
