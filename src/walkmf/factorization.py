@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .parallel import write_rows
-from .targets import TargetMatrix
+from .targets import TargetMatrix, _format_g17
 
 SPLITS = ("symmetric", "left")
 
@@ -159,12 +159,10 @@ def write_embedding_matrix(mat: np.ndarray, path) -> None:
     row, formatted on all cores (parallel.write_rows)."""
     mat = np.asarray(mat, dtype=float)
     n, d = mat.shape
-    line = "%d " + " ".join(["%.17g"] * d) + "\n"
 
-    def format_rows(lo: int, hi: int) -> str:
-        # The ids ride along as floats: "%d" % 5.0 is "5".
-        block = np.column_stack((np.arange(lo, hi), mat[lo:hi]))
-        return (line * (hi - lo)) % tuple(block.ravel().tolist())
+    def format_rows(lo: int, hi: int) -> bytes:
+        # The ids ride along as floats: "%.17g" % 5.0 is "5", as "%d" % 5 is.
+        return _format_g17(np.column_stack((np.arange(lo, hi), mat[lo:hi])), " ")
 
     write_rows(path, n, format_rows, d + 1, head=f"{n} {d}\n")
 

@@ -45,13 +45,17 @@ from typing import BinaryIO, Callable, Iterator, Sequence, TypeVar
 T = TypeVar("T")
 
 # Values formatted by one format_rows call, as np.savetxt formats one row at
-# a time: a slice's floats and text take ~0.6 MB, never a whole block's.
-# Slices of 2^15 values raised a 300 x 300 `exact`'s peak RSS by 1.4 MB.
+# a time: a slice's arrays take ~2 MB, never a whole block's. On a 2-core VM,
+# slices of 2^14 or 2^15 values wrote an 800 x 800 walk matrix no faster than
+# 2^13 (0.13-0.19 s against 0.13 s), and took 1.8x or 3.3x the memory.
 _SLICE_VALUES = 1 << 13
-# Outputs of fewer values are written in one process. On a 2-core VM, an
-# 800 x 65 embedding file (52k values) was written ~25% faster in two blocks,
-# while a 300 x 33 one (10k) or an 800 x 33 one (26k) gained nothing.
-_SPLIT_VALUES = 1 << 15
+# Outputs of fewer values are written in one process. In CLI runs on a 2-core
+# VM (15-20 alternating pairs each, split against not), splitting lost or
+# tied below 2^18 values: floats at 26k (faster in 2/15), 52k (7/15), 90k
+# (3/15) and 160k (8/15), counts at 67k (3/15), 240k (5/15) and 267k
+# (11/20). It won above: floats at 302k (11/15) and 640k (12/15, -39 ms),
+# counts at 458k (16/20) and 1.24M (13/15, -38 ms).
+_SPLIT_VALUES = 1 << 18
 
 # Set in a forked child before its job runs, so a run_jobs inside the job
 # runs in-process instead of forking grandchildren onto busy cores.
@@ -83,20 +87,21 @@ def run_jobs(jobs: Sequence[Callable[[], T]]) -> Iterator[T]:
                 child.stop()
 
 
-def write_rows(path, n_rows: int, format_rows: Callable[[int, int], str],
+def write_rows(path, n_rows: int, format_rows: Callable[[int, int], bytes],
                row_values: int = 1, head: str = "") -> None:
     """Write `head`, then the text of rows 0..n_rows-1, to `path`.
 
-    format_rows(lo, hi) returns the text of rows lo..hi-1. It is called on
-    consecutive slices of about _SLICE_VALUES values (row_values per row),
-    so the text in memory at once is one slice's. With more than one core
-    and at least _SPLIT_VALUES values, the rows are cut into one contiguous
-    block per core and run_jobs formats the blocks side by side: this
-    process writes the first block straight into `path`, each child writes
-    its block into an unnamed temporary file in `path`'s directory, and the
-    temporary files are appended in order once every block is done. The
-    bytes are the same on any number of cores. The temporary files have no
-    name, so none is left behind, whether a block fails or not.
+    format_rows(lo, hi) returns the ASCII text of rows lo..hi-1 as bytes. It
+    is called on consecutive slices of about _SLICE_VALUES values
+    (row_values per row), so the text in memory at once is one slice's.
+    With more than one core and at least _SPLIT_VALUES values, the rows
+    are cut into one contiguous block per core and run_jobs formats the
+    blocks side by side: this process writes the first block straight into
+    `path`, each child writes its block into an unnamed temporary file in
+    `path`'s directory, and the temporary files are appended in order once
+    every block is done. The bytes are the same on any number of cores. The
+    temporary files have no name, so none is left behind, whether a block
+    fails or not.
     """
     blocks = min(available_cores(), n_rows)
     step = max(1, _SLICE_VALUES // row_values)
@@ -120,14 +125,14 @@ def write_rows(path, n_rows: int, format_rows: Callable[[int, int], str],
                 shutil.copyfileobj(part, out)
 
 
-def _write_slices(fh: BinaryIO, format_rows: Callable[[int, int], str], lo: int, hi: int,
+def _write_slices(fh: BinaryIO, format_rows: Callable[[int, int], bytes], lo: int, hi: int,
                   step: int, head: str = "") -> None:
     fh.write(head.encode())
     for a in range(lo, hi, step):
-        fh.write(format_rows(a, min(a + step, hi)).encode())
+        fh.write(format_rows(a, min(a + step, hi)))
 
 
-def _write_part(part: BinaryIO, format_rows: Callable[[int, int], str], lo: int, hi: int,
+def _write_part(part: BinaryIO, format_rows: Callable[[int, int], bytes], lo: int, hi: int,
                 step: int) -> None:
     """A child's block: written, flushed and closed here, since the child
     ends by os._exit, which flushes nothing."""

@@ -441,16 +441,16 @@ def write_counts_csv(counts: CooccurrenceCounts, path) -> None:
     v, c = np.nonzero(counts.dense)  # row-major, so already in (v, c) order
     cnt = counts.dense[v, c]
 
-    def format_rows(lo: int, hi: int) -> str:
+    def format_rows(lo: int, hi: int) -> bytes:
         centers = v[lo:hi]
         starts = np.flatnonzero(centers[1:] != centers[:-1]) + 1
         if hi - lo < _CSV_RUN_ROWS * (len(starts) + 1):
-            return ("%d,%d,%d\r\n" * (hi - lo)) % tuple(
-                np.column_stack((centers, c[lo:hi], cnt[lo:hi])).ravel().tolist())
+            return (("%d,%d,%d\r\n" * (hi - lo)) % tuple(
+                np.column_stack((centers, c[lo:hi], cnt[lo:hi])).ravel().tolist())).encode()
         bounds = [0, *starts.tolist(), hi - lo]
         template = "".join(("%d,%%d,%%d\r\n" % center) * (b - a) for center, a, b in
                            zip(centers[bounds[:-1]].tolist(), bounds[:-1], bounds[1:]))
-        return template % tuple(np.column_stack((c[lo:hi], cnt[lo:hi])).ravel().tolist())
+        return (template % tuple(np.column_stack((c[lo:hi], cnt[lo:hi])).ravel().tolist())).encode()
 
     write_rows(path, len(v), format_rows, 3, "v,c,count\r\n")
 

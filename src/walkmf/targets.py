@@ -9,8 +9,10 @@ so every target is factorizable (or carries a mask).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -223,15 +225,201 @@ def compare_matrices(x: np.ndarray, y: np.ndarray,
                             compared=compared, excluded=excluded)
 
 
+# The "%.17g" text of 1e-6 < |x| < 1e15, made by NumPy without Python's
+# per-value dtoa (see _format_g17). A value's text is a row of _TEXT_WIDTH
+# bytes, padded with zero bytes that the end drops: a prefix word (sign and
+# leading "0."), then 24 bytes holding the digits and the dot at 0..17, the
+# exponent at 19..22 and the delimiter at 23.
+_TEXT_WIDTH = 32
+# Per byte c of the 24, as three words: the bytes below c, and a dot at c.
+_BELOW = np.frombuffer(b"".join(b"\xff" * c + b"\0" * (24 - c) for c in range(25)),
+                       dtype="<u8").reshape(25, 3)
+_DOT_AT = np.frombuffer(b"".join(b"\0" * c + b"." + b"\0" * (23 - c) for c in range(24)),
+                        dtype="<u8").reshape(24, 3)
+
+
+def _right_aligned(texts: list) -> np.ndarray:
+    return np.frombuffer(b"".join(t.rjust(8, b"\0") for t in texts), dtype="<u8")
+
+
+# The prefix, ending where the digits begin, by sign * 5 + (-exponent if
+# 1e-4 <= |x| < 1, else 0).
+_PREFIX = _right_aligned([sign + lead for sign in (b"", b"-")
+                          for lead in (b"", b"0.", b"0.0", b"0.00", b"0.000")])
+_TOKENS = _right_aligned([b"0", b"-0", b"inf", b"-inf", b"nan"])
+# Bytes 16..23 by -4 - exponent for |x| < 1e-4, else 0.
+_EXPONENT = np.frombuffer(b"\0" * 8 + b"\0\0\0e-05\0" + b"\0\0\0e-06\0", dtype="<u8")
+_SPLIT_HALVES = 134217729.0  # 2^27 + 1
+
+
+def _split_halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a as high + low, each of at most 26 significant bits (Veltkamp), so
+    that products of halves are exact."""
+    c = a * _SPLIT_HALVES
+    high = c - (c - a)
+    return high, a - high
+
+
+@functools.cache
+def _g17_tables() -> SimpleNamespace:
+    """The digit tables, built on first use: a command that formats no float
+    then touches none of the NumPy integer loops they need, which cost
+    ~0.4 MB of peak RSS when built at import.
+
+    10^k is an exact double for k <= 22, and a 4-digit group's text is one
+    little-endian word."""
+    pow10 = np.array([float(10 ** k) for k in range(23)])
+    high, low = _split_halves(pow10)
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    return SimpleNamespace(
+        pow10=pow10, pow10_high=high, pow10_low=low,
+        group_text=(digits + 48).astype(np.uint8).view("<u4").ravel(),
+        trailing_zeros=(digits[:, ::-1] != 0).argmax(axis=1))
+
+
+def _times_pow10(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10^k exactly, as hi + lo with hi = fl(a * 10^k) (Dekker's
+    TwoProduct, Numer. Math. 18, 1971)."""
+    t = _g17_tables()
+    hi = a * t.pow10[k]
+    ah, al = _split_halves(a)
+    th, tl = t.pow10_high[k], t.pow10_low[k]
+    return hi, ((ah * th - hi) + ah * tl + al * th) + al * tl
+
+
+def _off_range(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """-1 where hi + lo < 1e16, 1 where it is >= 1e17, 0 in between."""
+    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    return high.astype(np.int64) - low
+
+
+def _g17_fallback(value: float) -> bytes:
+    return b"%.17g" % value
+
+
+def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d, e, failed) with d * 10^(e - 16) the 17-digit rounding of each a
+    in (1e-6, 1e15), half to even as dtoa rounds; failed holds where the
+    exponent could not be found, which a correct log10 never gives.
+
+    With k = 16 - floor(log10 a), a * 10^k = hi + lo exactly. Once k puts
+    it in [1e16, 1e17), hi is an even integer, so hi + rint(lo) is d."""
+    k = np.minimum(np.maximum(16 - np.floor(np.log10(a)).astype(np.int64), 2), 22)
+    hi, lo = _times_pow10(a, k)
+    off = _off_range(hi, lo)
+    wrong = np.flatnonzero(off)
+    failed = wrong[:0]
+    if wrong.size:
+        k[wrong] = np.minimum(np.maximum(k[wrong] - off[wrong], 2), 22)
+        hi[wrong], lo[wrong] = _times_pow10(a[wrong], k[wrong])
+        failed = wrong[_off_range(hi[wrong], lo[wrong]) != 0]
+        hi[failed], lo[failed] = 1e16, 0.0  # any 17 digits: the caller rewrites these rows
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    e = 16 - k
+    carry = d == 10 ** 17
+    d[carry] = 10 ** 16
+    e += carry
+    return d, e, failed
+
+
+def _digit_text(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 digits of each d as bytes 0..16 of three words, and how many
+    of them are left once the trailing zeros go."""
+    q = d // 10
+    last = d - q * 10
+    high = q // 10 ** 8
+    low = q - high * 10 ** 8
+    g1 = high // 10 ** 4
+    g2 = high - g1 * 10 ** 4
+    g3 = low // 10 ** 4
+    g4 = low - g3 * 10 ** 4
+    t = _g17_tables()
+    text = np.zeros((d.size, 6), dtype="<u4")
+    for i, group in enumerate((g1, g2, g3, g4)):
+        text[:, i] = t.group_text.take(group)
+    text[:, 4] = last + 48
+    zeros = t.trailing_zeros
+    kept = np.where(last, 17, 16 - zeros[g4])
+    z = np.flatnonzero((last == 0) & (g4 == 0))
+    if z.size:  # g1 >= 1000, as d >= 1e16
+        g1, g2, g3 = g1[z], g2[z], g3[z]
+        kept[z] = np.where(g3, 12 - zeros[g3], np.where(g2, 8 - zeros[g2], 4 - zeros[g1]))
+    return text.view("<u8"), kept
+
+
+def _fast_g17(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write "%.17g" % v of each v in x (1e-6 < |v| < 1e15) into its row of
+    out, all but the delimiter; returns where _decimal failed."""
+    d, e, failed = _decimal(np.abs(x))
+    digits, kept = _digit_text(d)
+    del d
+    # %g writes d.ddde-0X below 1e-4, 0.000ddd below 1 and otherwise the
+    # digits with a dot after the units digit; the zeros that end the
+    # fraction go, and the dot with them if nothing of it is left.
+    expo = e < -4
+    small = (e < 0) & ~expo
+    whole = np.where(expo, 1, np.maximum(e + 1, 0))  # digits before the dot
+    dot = (kept > whole) & ~small
+    end = np.where(dot, kept + 1, np.maximum(kept, whole))  # text ends before this byte
+    words = out.view("<u8")
+    words[:, 0] = _PREFIX[np.signbit(x) * 5 + np.where(small, -e, 0)]
+    words[:, 1:] = digits & _BELOW.take(end, axis=0)
+    dots = np.flatnonzero(dot)
+    if dots.size:
+        # The digits from the dot's byte on move up one byte.
+        c = whole[dots]
+        digits = digits[dots]
+        moved = digits << np.uint64(8)
+        moved[:, 1:] |= digits[:, :-1] >> np.uint64(56)
+        words[dots, 1:] = ((digits & _BELOW.take(c, axis=0)) | (moved & ~_BELOW.take(c + 1, axis=0))
+                           | _DOT_AT.take(c, axis=0)) & _BELOW.take(end[dots], axis=0)
+    words[:, 3] |= _EXPONENT.take(np.where(expo, -4 - e, 0))
+    return failed
+
+
+def _format_g17(block: np.ndarray, delimiter: str) -> bytes:
+    """What np.savetxt(fh, block, fmt="%.17g", delimiter=delimiter) writes,
+    as ASCII bytes. Values with 1e-6 < |x| < 1e15 are converted exactly by
+    _fast_g17; ±0, nan and ±inf are fixed tokens; every other value (tiny,
+    huge or subnormal) goes through "%.17g" % x one at a time."""
+    x = np.asarray(block, dtype=np.float64)
+    cols = x.shape[1] if x.ndim == 2 else 1
+    x = x.ravel()
+    a = np.abs(x)
+    with np.errstate(invalid="ignore"):  # NaN compares false, quietly
+        fast = (a > 1e-6) & (a < 1e15)
+    del a
+    out = np.zeros((x.size, _TEXT_WIDTH), dtype=np.uint8)
+    if fast.all():  # as most matrices are: no gather into rows and back
+        failed = _fast_g17(x, out)
+    else:
+        at = np.flatnonzero(fast)
+        rows = np.zeros((at.size, _TEXT_WIDTH), dtype=np.uint8)
+        failed = at[_fast_g17(x[at], rows)]
+        out[at] = rows
+        del rows
+        at = np.flatnonzero(~fast)
+        rest = x[at]
+        nan = np.isnan(rest)
+        inf = np.isinf(rest)
+        out.view("<u8")[at, 0] = _TOKENS[np.where(nan, 4, np.where(inf, 2, 0) + np.signbit(rest))]
+        with np.errstate(invalid="ignore"):
+            failed = np.concatenate((failed, at[(rest != 0) & ~nan & ~inf]))
+    for i in failed.tolist():
+        text = _g17_fallback(x[i])
+        out[i] = 0
+        out[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+    out[:, -1] = ord(delimiter)
+    out[cols - 1::cols, -1] = 10
+    flat = out.ravel()
+    return flat[flat != 0].tobytes()
+
+
 def _write_csv_rows(mat: np.ndarray, path) -> None:
     """What np.savetxt(path, mat, fmt="%.17g", delimiter=",") writes, byte
     for byte, with the rows formatted on all cores (parallel.write_rows)."""
-    row = ",".join(["%.17g"] * mat.shape[1]) + "\n"
-
-    def format_rows(lo: int, hi: int) -> str:
-        return (row * (hi - lo)) % tuple(mat[lo:hi].ravel().tolist())
-
-    write_rows(path, mat.shape[0], format_rows, mat.shape[1])
+    write_rows(path, mat.shape[0], lambda lo, hi: _format_g17(mat[lo:hi], ","), mat.shape[1])
 
 
 def write_matrix_csv(mat: np.ndarray, path) -> None:

@@ -1,3 +1,4 @@
+import io
 import math
 import tracemalloc
 
@@ -444,3 +445,129 @@ class TestMatrixIO:
         loaded, meta = read_matrix_json(tmp_path / "m.json")
         assert np.array_equal(loaded, mat)
         assert meta == {"window": 2}
+
+
+def _percent_g17(values):
+    # One "%.17g" per value, one value per line: what np.savetxt writes for a column.
+    return "".join("%.17g\n" % v for v in np.asarray(values, dtype=float).ravel().tolist()).encode()
+
+
+def _format_column(values):
+    return walkmf.targets._format_g17(np.asarray(values, dtype=float).reshape(-1, 1), ",")
+
+
+def _powers_of_ten(lo, hi):
+    powers = np.array([float(10 ** k) if k >= 0 else float(f"1e{k}") for k in range(lo, hi)])
+    return np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+
+
+def _ties(seed, per_exponent=2000):
+    """Doubles whose exact decimal has 18 significant digits ending in 5:
+    m / 2^j is m 5^j / 10^j, and m 5^j is an odd multiple of 5."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for j in range(2, 26):
+        lo, hi = max(1, -(-10**17 // 5**j)), min(2**53, 10**18 // 5**j)
+        if lo < hi:
+            m = rng.integers(lo, hi, per_exponent) | 1
+            out.append(m[m < hi] / 2.0**j)
+    return np.concatenate(out)
+
+
+class TestFormatG17:
+    """_format_g17 gives the bytes "%.17g" gives, value by value."""
+
+    def test_random_bit_patterns(self):
+        # Every class: normals of every exponent, subnormals, ±0, ±inf and NaN payloads.
+        bits = np.random.default_rng(1).integers(0, 2**64, 50_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        assert _format_column(values) == _percent_g17(values)
+
+    def test_log_uniform_magnitudes(self):
+        rng = np.random.default_rng(2)
+        values = 10.0 ** rng.uniform(-13, 17, 50_000) * rng.choice([-1.0, 1.0], 50_000)
+        assert _format_column(values) == _percent_g17(values)
+
+    def test_edges_of_the_exact_range(self):
+        # The double nearest 1e-6 lies below 10^-6, so it is outside the range.
+        below = above = np.array([1e-6, 1e15])
+        values = [below]
+        for _ in range(3):
+            below, above = np.nextafter(below, 0), np.nextafter(above, np.inf)
+            values += [below, above]
+        values = np.concatenate(values)
+        values = np.concatenate([values, -values])
+        assert _format_column(values) == _percent_g17(values)
+
+    def test_exact_ties_round_half_to_even(self):
+        values = _ties(3)
+        assert values.size > 40_000
+        values = np.concatenate([values, -values])
+        assert _format_column(values) == _percent_g17(values)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        values = _powers_of_ten(-9, 19)
+        values = np.concatenate([values, -values])
+        assert _format_column(values) == _percent_g17(values)
+
+    def test_integers(self):
+        values = np.concatenate([np.arange(-20_000, 20_000), 2.0**53 + np.arange(-4, 5),
+                                 10.0**np.arange(16) - 1, 10.0**np.arange(16) + 1])
+        assert _format_column(values) == _percent_g17(values)
+
+    def test_tokens_and_subnormals(self):
+        tiny = np.finfo(float).tiny
+        values = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                           tiny, -tiny, np.nextafter(tiny, 0), 1e-300, np.finfo(float).max,
+                           -np.finfo(float).max])
+        assert _format_column(values) == _percent_g17(values)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=20))
+    def test_any_floats(self, values):
+        assert _format_column(values) == _percent_g17(values)
+
+    @pytest.mark.parametrize("delimiter", [",", " "])
+    def test_rows_as_np_savetxt_writes_them(self, delimiter):
+        # A mask-policy target: mostly NaN, with logs of both signs elsewhere.
+        rng = np.random.default_rng(4)
+        mat = np.log(rng.random((37, 23)))
+        mat[rng.random(mat.shape) < 0.9] = np.nan
+        mat[0, :3] = [0.0, -0.0, 1.0]
+        buffer = io.BytesIO()
+        np.savetxt(buffer, mat, fmt="%.17g", delimiter=delimiter)
+        assert walkmf.targets._format_g17(mat, delimiter) == buffer.getvalue()
+
+    def test_exact_range_and_tokens_never_fall_back(self, monkeypatch):
+        fallback = walkmf.targets._g17_fallback
+        taken = []
+
+        def recorded(value):
+            taken.append(value)
+            return fallback(value)
+
+        monkeypatch.setattr(walkmf.targets, "_g17_fallback", recorded)
+        rng = np.random.default_rng(5)
+        inside = np.concatenate([10.0 ** rng.uniform(-5.99, 14.99, 20_000), _ties(6, 200),
+                                 _powers_of_ten(-5, 15), np.nextafter([1e-6, 1e15], [1, 0])])
+        inside = inside[(inside > 1e-6) & (inside < 1e15)]
+        values = np.concatenate([inside, -inside, [0.0, -0.0, np.nan, np.inf, -np.inf]])
+        assert _format_column(values) == _percent_g17(values)
+        assert taken == []
+        outside = np.array([1e-6, 1e-7, 5e-324, 1e15, -1e300])
+        assert _format_column(outside) == _percent_g17(outside)
+        assert taken == outside.tolist()
+
+    def test_a_value_whose_exponent_is_not_found_falls_back(self, monkeypatch):
+        # A product out of [1e16, 1e17) after the exponent's correction, as a
+        # log10 off by more than one would leave it, is written by "%.17g".
+        times = walkmf.targets._times_pow10
+
+        def off_by_three(a, k):
+            hi, lo = times(a, k)
+            return hi * 1e3, lo
+
+        monkeypatch.setattr(walkmf.targets, "_times_pow10", off_by_three)
+        values = np.array([1.5, -2.25e-5, 1234.5678, 9.999999999999999e14, 0.0])
+        assert _format_column(values) == _percent_g17(values)
