@@ -60,6 +60,7 @@ from .sgns import (
 )
 from .targets import (
     BIAS_MODES,
+    DEFAULT_EPSILON,
     ZERO_POLICIES,
     compare_matrices,
     sgns_target_exact,
@@ -67,7 +68,6 @@ from .targets import (
     softmax_target,
     walk_probability_matrix,
     write_matrix_csv,
-    write_matrix_json,
     write_vector_csv,
 )
 
@@ -78,7 +78,6 @@ EXIT_DATA = 2
 DEFAULT_WINDOW = 5
 DEFAULT_NEGATIVES = 5
 DEFAULT_DIM = 64
-DEFAULT_EPSILON = 1e-12
 TARGET_KINDS = ("softmax", "sgns")
 FORMATS = ("csv", "json")
 
@@ -135,24 +134,17 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
-def _write_matrix(mat, out_dir: Path, stem: str, fmt: str, metadata=None) -> str:
+def _write_array(array: np.ndarray, out_dir: Path, stem: str, fmt: str, metadata=None) -> str:
+    """Write a matrix or, if 1-d, a vector as <stem>.csv or as <stem>.json,
+    whose payload holds it under "matrix" or "vector" beside its metadata."""
+    name = f"{stem}.{fmt}"
     if fmt == "json":
-        name = f"{stem}.json"
-        write_matrix_json(mat, out_dir / name, metadata or {})
+        key = "matrix" if array.ndim == 2 else "vector"
+        _write_json(out_dir / name, {"metadata": metadata or {}, key: array.tolist()})
+    elif array.ndim == 2:
+        write_matrix_csv(array, out_dir / name)
     else:
-        name = f"{stem}.csv"
-        write_matrix_csv(mat, out_dir / name)
-    return name
-
-
-def _write_vector(vec, out_dir: Path, stem: str, fmt: str, metadata=None) -> str:
-    if fmt == "json":
-        name = f"{stem}.json"
-        _write_json(out_dir / name, {"metadata": metadata or {},
-                                     "vector": np.asarray(vec).tolist()})
-    else:
-        name = f"{stem}.csv"
-        write_vector_csv(vec, out_dir / name)
+        write_vector_csv(array, out_dir / name)
     return name
 
 
@@ -188,12 +180,13 @@ def run_exact(config: dict, out_dir: Path) -> list[str]:
     fmt = config["format"]
     # One file at a time; each CSV writer formats its rows on all cores.
     names = [
-        _write_matrix(p.probs, out_dir, "walk_matrix", fmt, {"window": p.window}),
-        _write_matrix(target.values, out_dir, "target", fmt, target.metadata()),
-        _write_vector(pi, out_dir, "stationary", fmt),
+        _write_array(p.probs, out_dir, "walk_matrix", fmt, {"window": p.window}),
+        _write_array(target.values, out_dir, "target", fmt, target.metadata()),
+        _write_array(pi, out_dir, "stationary", fmt),
     ]
-    if target.mask is not None:
-        names.append(_write_matrix(target.mask.astype(int), out_dir, "target_mask", fmt))
+    mask = target.mask
+    if mask is not None:
+        names.append(_write_array(mask.astype(int), out_dir, "target_mask", fmt))
     return names
 
 
@@ -404,10 +397,16 @@ def _allowed(key: str, kwargs: dict) -> tuple:
     return allowed
 
 
+def _start_mismatch(config: dict) -> bool:
+    """Whether a sample config gives a start node without mode fixed or back."""
+    return (config["start_node"] is not None) != (config["start_mode"] == "fixed")
+
+
 def _config_problem(command: str, config: dict):
     """What makes config differ from every config _config_from_args makes
-    for command: a missing or unknown key, or a value of the wrong type or
-    outside its choices. None if there is nothing."""
+    for command: a missing or unknown key, a value of the wrong type or
+    outside its choices, or a start node that disagrees with the start mode.
+    None if there is nothing."""
     _, options = _COMMANDS[command]
     for _, key, kwargs in options:
         if key not in config:
@@ -420,7 +419,12 @@ def _config_problem(command: str, config: dict):
         elif not any(type(value) is type(choice) and value == choice for choice in allowed):
             return f"config '{key}' must be one of {list(allowed)}, got {value!r}"
     unknown = sorted(config.keys() - {key for _, key, _ in options})
-    return f"config has unknown key '{unknown[0]}'" if unknown else None
+    if unknown:
+        return f"config has unknown key '{unknown[0]}'"
+    if command == "sample" and _start_mismatch(config):
+        return (f"config 'start_node' is {config['start_node']!r} but 'start_mode' is "
+                f"{config['start_mode']!r}: a start node is given exactly when the mode is 'fixed'")
+    return None
 
 
 def execute(command: str, config: dict, out_dir: Path) -> Path:
@@ -535,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> dict:
     """The config a command records: each option's value under its key, with
     the derived defaults filled in and each input file's path resolved."""
-    if args.command == "sample" and (args.start_node is not None) != (args.start_mode == "fixed"):
+    if args.command == "sample" and _start_mismatch(vars(args)):
         raise UsageError("--start-node and --start-mode fixed must be given together")
     _, options = _COMMANDS[args.command]
     config = {key: getattr(args, key) for _, key, _ in options}

@@ -168,16 +168,31 @@ def write_embedding_matrix(mat: np.ndarray, path) -> None:
 
 
 def read_embedding_matrix(path) -> np.ndarray:
+    """The matrix of a word2vec text file: header 'n d', then n rows 'id x1
+    ... xd' with ids 0..n-1 in any order. A bad header, a row count other
+    than n, an id that is not an integer in 0..n-1 or repeats, and a row
+    without d values each raise ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
-        n, d = int(header[0]), int(header[1])
-        mat = np.zeros((n, d))
-        filled = np.zeros(n, dtype=bool)
-        for line in fh:
-            parts = line.split()
-            idx = int(parts[0])
+        rows = [line.split() for line in fh]
+    if len(header) != 2 or not all(x.isdecimal() for x in header):
+        raise ValueError(f"{path}: header must be 'n d', got {' '.join(header)!r}")
+    n, d = map(int, header)
+    if len(rows) != n:
+        raise ValueError(f"{path}: {'missing' if len(rows) < n else 'extra'} rows: "
+                         f"{len(rows)} rows for n = {n}")
+    mat = np.zeros((n, d))
+    filled = np.zeros(n, dtype=bool)
+    for parts in rows:
+        text = parts[0] if parts else ""
+        idx = int(text) if text.isdecimal() else -1
+        if not 0 <= idx < n:
+            raise ValueError(f"{path}: row id {text!r} is not an integer in 0..{n - 1}")
+        if filled[idx]:
+            raise ValueError(f"{path}: row id {idx} repeats")
+        try:
             mat[idx] = [float(x) for x in parts[1:]]
-            filled[idx] = True
-    if not filled.all():
-        raise ValueError("embedding file is missing rows")
+        except ValueError as exc:  # a value that is no float, or not d of them
+            raise ValueError(f"{path}: row {idx}: {exc}") from None
+        filled[idx] = True
     return mat

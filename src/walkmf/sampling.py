@@ -41,7 +41,9 @@ START_MODES = ("stationary", "uniform", "fixed")
 DIRECTED_DEFAULT_BURN_IN = 1000
 _WALK_CHUNK = 1 << 20  # walk steps per chunk of uniforms
 _SEGMENT = 2048  # walk steps per guessed segment
-_MIN_GUESSED_SEGMENTS = 64  # a chunk with fewer segments is walked without guesses
+# Chunks of fewer segments are walked unguessed: on a 2-core VM, guessing broke
+# even at 18 to 20 segments on 800-node undirected and 300-node directed graphs.
+_MIN_GUESSED_SEGMENTS = 20
 _GUESS_PIECE = 256  # steps converted to lists at a time while a segment seeks its guess
 # Guess steps whose uniforms and nodes are transposed at a time. On a 2-core
 # VM, a 2M-step walk on a 300-node directed graph guessed equally fast in
@@ -49,12 +51,6 @@ _GUESS_PIECE = 256  # steps converted to lists at a time while a segment seeks i
 # (0.4 MB below pieces of 64).
 _LOCKSTEP_PIECE = 32
 _PAIR_BLOCK = 1 << 18  # centers whose pair codes are built at a time
-# Counts rows per center, on average over a slice, from which the slice's
-# template formats each center once rather than on every row. Building the
-# template costs a Python step per run of rows: on a 2-core VM, with
-# 2730-row slices of 3-digit centers, runs of 2 rows formatted 1.6x slower,
-# runs of 7 broke even and runs of 16 were 15% faster.
-_CSV_RUN_ROWS = 8
 # Most pairs a count set may hold: below it every int64 marginal is exact.
 _MAX_TOTAL = 2**62
 
@@ -89,8 +85,9 @@ class SamplerConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.start_mode not in START_MODES:
             raise ValueError(f"start_mode must be one of {START_MODES}, got {self.start_mode!r}")
-        if self.start_mode == "fixed" and self.start_node is None:
-            raise ValueError("start_mode 'fixed' requires start_node")
+        if (self.start_node is None) == (self.start_mode == "fixed"):
+            raise ValueError(f"start_node is given exactly when start_mode is 'fixed', got "
+                             f"start_mode {self.start_mode!r}, start_node {self.start_node!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -435,18 +432,13 @@ def write_counts_csv(counts: CooccurrenceCounts, path) -> None:
 
     Rows come sorted by center, so a slice's template repeats each center's
     text, already formatted, over its run of rows, and only the context and
-    the count are formatted per row. A slice of runs shorter than
-    _CSV_RUN_ROWS rows on average formats all three fields, which is faster
-    there."""
+    the count are formatted per row."""
     v, c = np.nonzero(counts.dense)  # row-major, so already in (v, c) order
     cnt = counts.dense[v, c]
 
     def format_rows(lo: int, hi: int) -> bytes:
         centers = v[lo:hi]
         starts = np.flatnonzero(centers[1:] != centers[:-1]) + 1
-        if hi - lo < _CSV_RUN_ROWS * (len(starts) + 1):
-            return (("%d,%d,%d\r\n" * (hi - lo)) % tuple(
-                np.column_stack((centers, c[lo:hi], cnt[lo:hi])).ravel().tolist())).encode()
         bounds = [0, *starts.tolist(), hi - lo]
         template = "".join(("%d,%%d,%%d\r\n" % center) * (b - a) for center, a, b in
                            zip(centers[bounds[:-1]].tolist(), bounds[:-1], bounds[1:]))

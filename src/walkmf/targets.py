@@ -4,13 +4,12 @@
 its elementwise log (optionally biased by log 2t) is the softmax target, and
 the log ratio of pair statistics to marginals, shifted by log k, is the
 negative-sampling target. Log of zero is resolved by an explicit zero policy
-so every target is factorizable (or carries a mask).
+so every target is factorizable (or marks the entry undefined with NaN).
 """
 
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 from typing import Optional
@@ -39,9 +38,12 @@ class WalkMatrix:
 class TargetMatrix:
     """A log-domain matrix to factorize, with the policy that made it finite.
 
-    `mask` is present only under the mask policy and is True exactly where
-    the underlying probability or count was zero. Rows flagged absent
-    (a node with no observations) are NaN under every policy.
+    NaN is the one mark of an undefined entry. Under the mask policy the
+    NaN entries are exactly those whose probability or count was zero, and
+    the `mask` property derives them as a boolean matrix; under the other
+    policies `mask` is None. The rows of nodes never observed are NaN under
+    every policy (under the mask policy this adds nothing: all their counts
+    are zero).
     """
 
     values: np.ndarray
@@ -51,7 +53,11 @@ class TargetMatrix:
     bias_mode: Optional[str] = None  # softmax targets
     shift: Optional[int] = None  # sgns targets: the negative-sample count k
     window: Optional[int] = None
-    mask: Optional[np.ndarray] = None
+
+    @property
+    def mask(self) -> Optional[np.ndarray]:
+        """True where an entry is undefined, under the mask policy only."""
+        return np.isnan(self.values) if self.zero_policy == "mask" else None
 
     def metadata(self) -> dict:
         return {
@@ -99,15 +105,15 @@ def _check_policy(zero_policy: str, epsilon: float) -> None:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
 
 
-def _log_with_policy(raw: np.ndarray, zero_policy: str, epsilon: float) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def _log_with_policy(raw: np.ndarray, zero_policy: str, epsilon: float) -> np.ndarray:
     """Elementwise log of a non-negative matrix with zeros resolved by policy,
     computed in place: `raw`, an array the caller owns, is overwritten and
     returned as the values.
 
     floor: zero entries become log(epsilon). truncate: entries are clamped
-    below at 0 (zeros land at 0). mask: zero entries are NaN and flagged in
-    the returned mask. Besides `raw`, the only temporaries are two boolean
-    masks and one array of the positive entries.
+    below at 0 (zeros land at 0). mask: zero entries are NaN. Besides `raw`,
+    the only temporaries are two boolean masks and one array of the positive
+    entries.
     """
     positive = raw > 0
     logs = raw[positive]
@@ -117,13 +123,12 @@ def _log_with_policy(raw: np.ndarray, zero_policy: str, epsilon: float) -> tuple
     zero = ~positive
     if zero_policy == "floor":
         raw[zero] = np.log(epsilon)
-        return raw, None
-    if zero_policy == "truncate":
+    elif zero_policy == "truncate":
         raw[zero] = 0.0
         np.maximum(raw, 0.0, out=raw)
-        return raw, None
-    raw[zero] = np.nan
-    return raw, zero
+    else:
+        raw[zero] = np.nan
+    return raw
 
 
 def softmax_target(p: WalkMatrix, bias_mode: str = "zero", zero_policy: str = "floor",
@@ -140,9 +145,9 @@ def softmax_target(p: WalkMatrix, bias_mode: str = "zero", zero_policy: str = "f
     _check_policy(zero_policy, epsilon)
     # _log_with_policy writes into raw, so p.probs itself must not be passed.
     raw = p.probs.copy() if bias_mode == "zero" else 2.0 * p.window * p.probs
-    values, mask = _log_with_policy(raw, zero_policy, epsilon)
-    return TargetMatrix(values=values, kind="softmax", zero_policy=zero_policy,
-                        epsilon=epsilon, bias_mode=bias_mode, window=p.window, mask=mask)
+    return TargetMatrix(values=_log_with_policy(raw, zero_policy, epsilon), kind="softmax",
+                        zero_policy=zero_policy, epsilon=epsilon, bias_mode=bias_mode,
+                        window=p.window)
 
 
 def expected_neighbor_counts(p: WalkMatrix) -> np.ndarray:
@@ -176,11 +181,10 @@ def sgns_target_from_counts(counts: CooccurrenceCounts, k: int = 1,
         rows = slice(lo, lo + rows_per_block)
         denom = k * np.outer(counts.node_counts[rows].astype(float), counts.context_counts)
         np.divide(raw[rows], denom, out=raw[rows], where=denom > 0)
-    values, mask = _log_with_policy(raw, zero_policy, epsilon)
-    absent = counts.node_counts == 0
-    values[absent, :] = np.nan
+    values = _log_with_policy(raw, zero_policy, epsilon)
+    values[counts.node_counts == 0, :] = np.nan
     return TargetMatrix(values=values, kind="sgns", zero_policy=zero_policy,
-                        epsilon=epsilon, shift=k, mask=mask)
+                        epsilon=epsilon, shift=k)
 
 
 def sgns_target_exact(p: WalkMatrix, pi: np.ndarray, k: int = 1, zero_policy: str = "truncate",
@@ -196,24 +200,18 @@ def sgns_target_exact(p: WalkMatrix, pi: np.ndarray, k: int = 1, zero_policy: st
         raise ValueError(f"k must be >= 1, got {k}")
     _check_policy(zero_policy, epsilon)
     raw = p.probs / (k * pi[None, :])
-    values, mask = _log_with_policy(raw, zero_policy, epsilon)
-    return TargetMatrix(values=values, kind="sgns", zero_policy=zero_policy,
-                        epsilon=epsilon, shift=k, window=p.window, mask=mask)
+    return TargetMatrix(values=_log_with_policy(raw, zero_policy, epsilon), kind="sgns",
+                        zero_policy=zero_policy, epsilon=epsilon, shift=k, window=p.window)
 
 
-def compare_matrices(x: np.ndarray, y: np.ndarray,
-                     mask: Optional[np.ndarray] = None) -> ComparisonReport:
-    """Max/mean absolute difference over entries where both sides are finite
-    and not masked out (mask True = excluded)."""
+def compare_matrices(x: np.ndarray, y: np.ndarray) -> ComparisonReport:
+    """Max/mean absolute difference over entries where both sides are finite;
+    a NaN (undefined) or infinite entry on either side is excluded."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     valid = np.isfinite(x) & np.isfinite(y)
-    if mask is not None:
-        if mask.shape != x.shape:
-            raise ValueError(f"mask shape {mask.shape} does not match {x.shape}")
-        valid &= ~mask
     compared = int(valid.sum())
     excluded = x.size - compared
     if compared == 0:
@@ -436,16 +434,3 @@ def write_vector_csv(vec: np.ndarray, path) -> None:
 
 def read_vector_csv(path) -> np.ndarray:
     return np.loadtxt(path, ndmin=1)
-
-
-def write_matrix_json(mat: np.ndarray, path, metadata: Optional[dict] = None) -> None:
-    payload = {"metadata": metadata or {}, "matrix": np.asarray(mat).tolist()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def read_matrix_json(path) -> tuple[np.ndarray, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return np.asarray(payload["matrix"], dtype=float), payload.get("metadata", {})

@@ -145,6 +145,27 @@ class TestExact:
         assert payload["metadata"]["window"] == 2
         assert payload["metadata"]["zero_policy"] == "floor"
 
+    def test_json_format_bytes(self, tmp_path, path_graph_file):
+        # Pins every file `exact --format json` writes: sorted, indented
+        # JSON with NaN for the entries the mask policy leaves undefined.
+        out = tmp_path / "out"
+        assert main(["exact", "-i", str(path_graph_file), "-t", "1", "--zero-policy", "mask",
+                     "--format", "json", "-o", str(out)]) == 0
+        nan, log_half = math.nan, math.log(0.5)
+        expected = {
+            "walk_matrix.json": ({"window": 1}, "matrix",
+                                 [[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]]),
+            "target.json": ({"kind": "softmax", "zero_policy": "mask", "epsilon": 1e-12,
+                             "bias_mode": "zero", "shift_k": None, "window": 1}, "matrix",
+                            [[nan, 0.0, nan], [log_half, nan, log_half], [nan, 0.0, nan]]),
+            "stationary.json": ({}, "vector", [0.25, 0.5, 0.25]),
+            "target_mask.json": ({}, "matrix", [[1, 0, 1], [0, 1, 0], [1, 0, 1]]),
+        }
+        assert _read_manifest(out)["outputs"] == list(expected)
+        for name, (metadata, key, values) in expected.items():
+            text = json.dumps({"metadata": metadata, key: values}, indent=2, sort_keys=True)
+            assert (out / name).read_text() == text + "\n"
+
 
 class TestSample:
     def test_k2_forced_counts(self, tmp_path, k2_file):
@@ -317,6 +338,9 @@ MALFORMED_COUNTS = {
     "n_not_integer": ("counts.json", _edit_sidecar(n="3")),
     "n_too_large": ("counts.json", _edit_sidecar(n=1_000_000_000)),
     "bad_sampler_config": ("counts.json", _edit_sidecar(sampler_config={"bogus": 1})),
+    "start_node_without_fixed_mode": ("counts.json", _edit_sidecar(sampler_config={
+        "window": 2, "centers": 4, "seed": 0, "start_mode": "uniform", "start_node": 1,
+        "burn_in": 0, "workers": 1})),
     "sidecar_not_json": ("counts.json", lambda text, meta: (text, "{")),
 }
 
@@ -625,6 +649,26 @@ class TestManifests:
         path.write_text(json.dumps(manifest))
         code = main(["rerun", "--manifest", str(path), "-o", str(tmp_path / "redo")])
         assert (code, capsys.readouterr().err) == (2, f"walkmf: error: manifest {path}: {message}\n")
+
+    @pytest.mark.parametrize("start_mode, start_node", [
+        ("uniform", 2), (None, 2), ("fixed", None),
+    ], ids=["node-with-uniform", "node-with-default-mode", "fixed-without-node"])
+    def test_rerun_start_node_without_fixed_mode_exits_2(self, tmp_path, capsys,
+                                                         path_graph_file, start_mode,
+                                                         start_node):
+        # Configs the CLI refuses as usage errors must not rerun from a manifest.
+        out_dir = self._run_each_command(tmp_path, path_graph_file)["sample"]
+        manifest = _read_manifest(out_dir)
+        manifest["config"].update(start_mode=start_mode, start_node=start_node)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(manifest))
+        redo = tmp_path / "redo"
+        code = main(["rerun", "--manifest", str(path), "-o", str(redo)])
+        assert (code, capsys.readouterr().err) == (
+            2, f"walkmf: error: manifest {path}: config 'start_node' is {start_node!r} but "
+               f"'start_mode' is {start_mode!r}: a start node is given exactly when the mode "
+               "is 'fixed'\n")
+        assert not redo.exists()
 
     @pytest.mark.parametrize("command, edit, message", [
         ("exact", lambda inputs, files: {},

@@ -267,6 +267,23 @@ class TestEmbeddingIO:
         with pytest.raises(ValueError, match="missing"):
             read_embedding_matrix(tmp_path / "w.txt")
 
+    @pytest.mark.parametrize("text, problem", [
+        ("2 1\n0 1.5\n-1 2.5\n", "row id '-1' is not an integer in 0..1"),
+        ("2 1\n0 1.5\n2 2.5\n", "row id '2' is not an integer in 0..1"),
+        ("2 1\n0 1.5\n1.0 2.5\n", "row id '1.0' is not an integer in 0..1"),
+        ("2 1\n1 1.5\n1 2.5\n", "row id 1 repeats"),
+        ("2 1\n0 1.5\n1 2.5\n1 3.5\n", "extra rows: 3 rows for n = 2"),
+        ("2 1\n0 1.5\n1 2.5 3.5\n", "row 1: "),  # then NumPy's own message
+        ("2\n0 1.5\n1 2.5\n", "header must be 'n d', got '2'"),
+    ], ids=["negative-id", "id-past-n", "non-integer-id", "repeated-id", "extra-row",
+            "long-row", "bad-header"])
+    def test_malformed_file_names_the_file(self, tmp_path, text, problem):
+        path = tmp_path / "w.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as excinfo:
+            read_embedding_matrix(path)
+        assert str(excinfo.value).startswith(f"{path}: {problem}")
+
     @pytest.mark.parametrize("cores", [1, 2, 3])
     def test_bytes_match_a_per_line_formatter(self, tmp_path, monkeypatch, cores):
         if cores > 1 and not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):

@@ -51,6 +51,11 @@ class TestSamplerConfig:
         with pytest.raises(ValueError):
             SamplerConfig(window=1, centers=1, start_mode="fixed")
 
+    @pytest.mark.parametrize("start_mode", ["stationary", "uniform"])
+    def test_rejects_node_without_fixed_mode(self, start_mode):
+        with pytest.raises(ValueError, match=f"got start_mode '{start_mode}', start_node 2"):
+            SamplerConfig(window=1, centers=1, start_mode=start_mode, start_node=2)
+
     def test_round_trips_through_dict(self):
         cfg = SamplerConfig(window=3, centers=10, seed=9, burn_in=5, workers=2)
         assert SamplerConfig.from_dict(cfg.to_dict()) == cfg
