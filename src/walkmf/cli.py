@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -113,6 +113,13 @@ def _positive_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0 < value < 1:  # written so that nan fails too
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
     return value
 
 
@@ -212,8 +219,8 @@ def run_compare(config: dict, out_dir: Path) -> list[str]:
     k = config["negatives"]
     # Each n x n array is let go as soon as its comparisons are done: the
     # counts, P and one more are the most held between steps.
-    conditional = compare_matrices(empirical_conditional(counts), p.probs)
-    frequency = compare_matrices(empirical_frequency(counts), pi)
+    conditional = asdict(compare_matrices(empirical_conditional(counts), p.probs))
+    frequency = asdict(compare_matrices(empirical_frequency(counts), pi))
     # Mask policy on both PMI sides keeps the comparison on pairs both can see.
     exact = sgns_target_exact(p, pi, k=k, zero_policy="mask")
     del p
@@ -221,9 +228,9 @@ def run_compare(config: dict, out_dir: Path) -> list[str]:
     del counts
 
     report = {
-        "conditional_vs_walk_matrix": conditional.to_dict(),
-        "frequency_vs_stationary": frequency.to_dict(),
-        "sgns_counts_vs_exact": compare_matrices(sampled.values, exact.values).to_dict(),
+        "conditional_vs_walk_matrix": conditional,
+        "frequency_vs_stationary": frequency,
+        "sgns_counts_vs_exact": asdict(compare_matrices(sampled.values, exact.values)),
         "window": config["window"],
         "negatives": k,
     }
@@ -272,7 +279,7 @@ def run_train(config: dict, out_dir: Path) -> list[str]:
     comparison = dot_vs_shifted_pmi(counts, result.embeddings, cfg.negatives)
     upper_bound = sgns_objective_upper_bound(counts, cfg.negatives)
     report = {
-        "dot_vs_shifted_pmi": comparison.to_dict(),
+        "dot_vs_shifted_pmi": asdict(comparison),
         "final_objective": result.final_objective,
         "negatives": cfg.negatives,
         "objective_gap": (upper_bound - result.final_objective) / abs(upper_bound),
@@ -323,7 +330,7 @@ _TARGET_OPTIONS = (
     (("--zero-policy",), "zero_policy", {
         "choices": ZERO_POLICIES, "default": None,
         "help": "log(0) handling; defaults to floor for softmax, truncate for sgns"}),
-    (("--epsilon",), "epsilon", {"type": _positive_float, "default": DEFAULT_EPSILON,
+    (("--epsilon",), "epsilon", {"type": _fraction, "default": DEFAULT_EPSILON,
                                  "help": "floor value for zero probabilities"}),
 )
 
@@ -391,7 +398,8 @@ def _allowed(key: str, kwargs: dict) -> tuple:
     elif "choices" in kwargs:
         allowed = tuple(kwargs["choices"])
     else:  # every other type parses an int
-        allowed = {Path: (str,), _positive_float: (float, int)}.get(kwargs["type"], (int,))
+        allowed = {Path: (str,), _positive_float: (float, int),
+                   _fraction: (float, int)}.get(kwargs["type"], (int,))
     if "default" in kwargs and kwargs["default"] is None and key not in _DERIVED_DEFAULTS:
         allowed += (None,) if "choices" in kwargs else (_NONE,)
     return allowed
@@ -405,8 +413,9 @@ def _start_mismatch(config: dict) -> bool:
 def _config_problem(command: str, config: dict):
     """What makes config differ from every config _config_from_args makes
     for command: a missing or unknown key, a value of the wrong type or
-    outside its choices, or a start node that disagrees with the start mode.
-    None if there is nothing."""
+    outside its choices, an int its flag's parser type refuses, or a start
+    node that disagrees with the start mode. None if there is nothing.
+    Floats are left to the checks of the code that uses them."""
     _, options = _COMMANDS[command]
     for _, key, kwargs in options:
         if key not in config:
@@ -416,6 +425,11 @@ def _config_problem(command: str, config: dict):
             if type(value) not in allowed:
                 names = " or ".join("null" if t is _NONE else t.__name__ for t in allowed)
                 return f"config '{key}' must be {names}, got {value!r}"
+            if value is not None and kwargs.get("type") in (_positive_int, _nonnegative_int):
+                try:
+                    kwargs["type"](str(value))
+                except argparse.ArgumentTypeError as exc:
+                    return f"config '{key}' {exc}"
         elif not any(type(value) is type(choice) and value == choice for choice in allowed):
             return f"config '{key}' must be one of {list(allowed)}, got {value!r}"
     unknown = sorted(config.keys() - {key for _, key, _ in options})
@@ -427,16 +441,19 @@ def _config_problem(command: str, config: dict):
     return None
 
 
-def execute(command: str, config: dict, out_dir: Path) -> Path:
+def execute(command: str, config: dict, out_dir: Path, digests=None) -> Path:
     """Run a command, write its manifest, and return the manifest path.
 
-    If the command fails, the directories this call created for out_dir
-    are removed again, innermost first, as long as they are empty; one that
-    existed before, or that holds files, is left as it is."""
+    `digests`, if given, maps each input file to the SHA-256 digest it must
+    still have; the first input whose digest differs fails the run before
+    the command starts. If the command fails, the directories this call
+    created for out_dir are removed again, innermost first, as long as they
+    are empty; one that existed before, or that holds files, is left as it
+    is."""
     created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        return _execute(command, config, out_dir)
+        return _execute(command, config, out_dir, digests)
     except BaseException:
         for directory in created:
             if any(directory.iterdir()):
@@ -445,11 +462,15 @@ def execute(command: str, config: dict, out_dir: Path) -> Path:
         raise
 
 
-def _execute(command: str, config: dict, out_dir: Path) -> Path:
+def _execute(command: str, config: dict, out_dir: Path, digests) -> Path:
     for key in _input_keys(command):
         if not Path(config[key]).is_file():
             raise ValueError(f"input file not found: {config[key]}")
     inputs = {str(config[key]): _sha256(Path(config[key])) for key in _input_keys(command)}
+    if digests is not None:
+        for path, digest in inputs.items():
+            if digests[path] != digest:
+                raise ValueError(f"manifest input changed since the recorded run: {path}")
 
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
@@ -505,14 +526,8 @@ def run_from_manifest(manifest_path, out_dir=None, check_digests: bool = True) -
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     command, config, inputs = _manifest_parts(manifest, manifest_path)
-    if check_digests:
-        for path, digest in inputs.items():
-            if not Path(path).is_file():
-                raise ValueError(f"manifest input missing: {path}")
-            if _sha256(Path(path)) != digest:
-                raise ValueError(f"manifest input changed since the recorded run: {path}")
     target_dir = Path(out_dir) if out_dir is not None else Path(manifest_path).parent
-    return execute(command, config, target_dir)
+    return execute(command, config, target_dir, inputs if check_digests else None)
 
 
 def build_parser() -> argparse.ArgumentParser:

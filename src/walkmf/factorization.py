@@ -40,14 +40,24 @@ class EmbeddingPair:
         if not (np.all(np.isfinite(self.w)) and np.all(np.isfinite(self.h))):
             raise ValueError("embeddings must be finite")
 
-    @property
-    def dim(self) -> int:
-        return self.w.shape[1]
-
 
 def _as_array(m) -> np.ndarray:
     values = m.values if isinstance(m, TargetMatrix) else m
     return np.asarray(values, dtype=float)
+
+
+def _decomposable(m) -> np.ndarray:
+    """m as a float array, or a FactorizationError if it is not a matrix of
+    finite entries."""
+    mat = _as_array(m)
+    if mat.ndim != 2:
+        raise FactorizationError(f"expected a 2-d matrix, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise FactorizationError(
+            "matrix has non-finite entries; apply a zero policy (floor or truncate) "
+            "before factorizing"
+        )
+    return mat
 
 
 def _fix_signs(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,14 +108,7 @@ def truncated_svd(m, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     `np.linalg.svd`. Columns of u and v are orthonormal; signs are fixed so
     repeated calls give identical output.
     """
-    mat = _as_array(m)
-    if mat.ndim != 2:
-        raise FactorizationError(f"expected a 2-d matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise FactorizationError(
-            "matrix has non-finite entries; apply a zero policy (floor or truncate) "
-            "before factorizing"
-        )
+    mat = _decomposable(m)
     limit = min(mat.shape)
     if not (1 <= d <= limit):
         raise FactorizationError(f"rank d must be in 1..{limit}, got {d}")
@@ -146,12 +149,7 @@ def reconstruction_error(m, pair: EmbeddingPair) -> float:
 
 def singular_values(m) -> np.ndarray:
     """Full singular spectrum (used for tail-energy reports)."""
-    mat = _as_array(m)
-    if not np.all(np.isfinite(mat)):
-        raise FactorizationError(
-            "matrix has non-finite entries; apply a zero policy (floor or truncate) first"
-        )
-    return np.linalg.svd(mat, compute_uv=False)
+    return np.linalg.svd(_decomposable(m), compute_uv=False)
 
 
 def write_embedding_matrix(mat: np.ndarray, path) -> None:

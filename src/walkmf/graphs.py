@@ -23,14 +23,6 @@ class GraphStructureError(ValueError):
     """Graph shape does not support the requested operation."""
 
 
-def _csr(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Compressed rows of the arcs src -> dst: the neighbours of node i are
-    `indices[indptr[i]:indptr[i + 1]]`, sorted."""
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, dst[np.lexsort((dst, src))]
-
-
 @dataclass(frozen=True)
 class Graph:
     """Unweighted graph with dense node ids.
@@ -60,16 +52,24 @@ class Graph:
         loops = np.nonzero(arcs[:, 0] == arcs[:, 1])[0]
         if loops.size:
             raise EdgeListError(f"self-loop on node {self.edges[loops[0]][0]}")
-        keys = arcs if self.directed else np.sort(arcs, axis=1)
-        repeated = np.ones(len(keys), dtype=bool)
-        repeated[np.unique(keys, axis=0, return_index=True)[1]] = False
-        if repeated.any():
-            u, v = self.edges[np.argmax(repeated)]
-            raise EdgeListError(f"duplicate edge ({u}, {v})")
-
+        # One sort of the arcs, by source, then target, then edge index, both
+        # finds the repeated edges and lays out the compressed rows. Undirected
+        # edge i is the two arcs i and m + i, one each way, so an edge that
+        # repeats an earlier one, either way round, sorts right after an equal
+        # arc, and the smallest such edge index is the first repeat.
+        edge = np.arange(len(arcs))
         if not self.directed:
             arcs = np.concatenate([arcs, arcs[:, ::-1]])
-        indptr, indices = _csr(arcs[:, 0], arcs[:, 1], self.n)
+            edge = np.tile(edge, 2)
+        order = np.lexsort((edge, arcs[:, 1], arcs[:, 0]))
+        src, indices = arcs[order, 0], arcs[order, 1]
+        repeated = (src[1:] == src[:-1]) & (indices[1:] == indices[:-1])
+        if repeated.any():
+            u, v = self.edges[edge[order[1:][repeated]].min()]
+            raise EdgeListError(f"duplicate edge ({u}, {v})")
+
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
         for name, value in (("degrees", np.diff(indptr)), ("indptr", indptr), ("indices", indices)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -131,7 +131,9 @@ def load_edge_list(path, directed: bool = False) -> Graph:
 
 
 def serialize_edge_list(g: Graph) -> str:
-    """Render a graph back to edge-list text (parse round-trips to the same graph)."""
+    """Render a graph back to edge-list text. Parsing the text with g's
+    `directed` gives g back when node n - 1 has an edge; otherwise it gives
+    fewer nodes, since the parsed node count is 1 + the largest id named."""
     out = [f"# nodes: {g.n}", f"# directed: {str(g.directed).lower()}"]
     out.extend(f"{u} {v}" for u, v in g.edges)
     return "\n".join(out) + "\n"

@@ -89,13 +89,6 @@ class SamplerConfig:
             raise ValueError(f"start_node is given exactly when start_mode is 'fixed', got "
                              f"start_mode {self.start_mode!r}, start_node {self.start_node!r}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SamplerConfig":
-        return cls(**data)
-
 
 def default_sampler_config(g: Graph, window: int, centers: int, seed: int = 0,
                            workers: int = 1) -> SamplerConfig:
@@ -164,16 +157,9 @@ class CooccurrenceCounts:
         # way), so unpickling runs the checks again and dense stays read-only.
         return (CooccurrenceCounts, (self.dense,))
 
-    @classmethod
-    def from_matrix(cls, mat) -> "CooccurrenceCounts":
-        return cls(mat)
-
     @property
     def n(self) -> int:
         return self.dense.shape[0]
-
-    def count(self, v: int, c: int) -> int:
-        return int(self.dense[v, c])
 
     def is_symmetric(self) -> bool:
         return np.array_equal(self.dense, self.dense.T)
@@ -453,7 +439,7 @@ def write_counts_sidecar(counts: CooccurrenceCounts, path, config: Optional[Samp
         "total": counts.total,
         "node_counts": counts.node_counts.tolist(),
         "context_counts": counts.context_counts.tolist(),
-        "sampler_config": config.to_dict() if config is not None else None,
+        "sampler_config": asdict(config) if config is not None else None,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -509,8 +495,6 @@ def read_counts_csv(path, sidecar_path) -> tuple[CooccurrenceCounts, Optional[Sa
     v, c, cnt = rows.T
     if np.any((v < 0) | (v >= n) | (c < 0) | (c >= n)):
         raise ValueError(f"{path}: node id outside 0..{n - 1}")
-    if np.any(cnt < 0):
-        raise ValueError(f"{path}: negative count")
     codes = v * n + c
     codes.sort()
     if np.any(codes[1:] == codes[:-1]):
@@ -529,6 +513,6 @@ def read_counts_csv(path, sidecar_path) -> tuple[CooccurrenceCounts, Optional[Sa
     if not cfg:
         return counts, None
     try:
-        return counts, SamplerConfig.from_dict(cfg)
+        return counts, SamplerConfig(**cfg)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{sidecar_path}: bad sampler_config: {exc}") from None

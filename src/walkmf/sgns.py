@@ -205,8 +205,6 @@ def train_sgns(counts: CooccurrenceCounts, cfg: TrainConfig) -> TrainResult:
     every epoch, from the block being trained. A ValueError names the
     first epoch whose objective is not finite.
     """
-    if counts.total == 0:
-        raise ValueError("counts are empty")
     n, k = counts.n, cfg.negatives
     rng = np.random.default_rng(cfg.seed)
     scale = cfg.resolved_init_scale

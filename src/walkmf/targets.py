@@ -10,7 +10,7 @@ so every target is factorizable (or marks the entry undefined with NaN).
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Optional
 
@@ -78,9 +78,6 @@ class ComparisonReport:
     mean_abs: float
     compared: int
     excluded: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def walk_probability_matrix(g: Graph, window: int,

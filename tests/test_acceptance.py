@@ -138,10 +138,10 @@ def test_criterion_05_sgns_critical_point():
     rng = np.random.default_rng(17)
     for _ in range(100):
         n = int(rng.integers(2, 6))
-        counts = CooccurrenceCounts.from_matrix(rng.integers(1, 40, size=(n, n)))
+        counts = CooccurrenceCounts(rng.integers(1, 40, size=(n, n)))
         k = int(rng.integers(1, 6))
         v, c = (int(x) for x in rng.integers(0, n, size=2))
-        joint = counts.count(v, c)
+        joint = int(counts.dense[v, c])
         noise_mass = k * counts.node_counts[v] * counts.context_counts[c] / counts.total
         pmi = math.log(joint * counts.total
                        / (counts.node_counts[v] * counts.context_counts[c]))
@@ -161,7 +161,7 @@ def test_criterion_06_training_convergence():
     start = time.perf_counter()
     mat = np.full((3, 3), 100, dtype=np.int64)
     np.fill_diagonal(mat, 0)
-    counts = CooccurrenceCounts.from_matrix(mat)
+    counts = CooccurrenceCounts(mat)
     cfg = TrainConfig(dim=3, negatives=1, epochs=200, learning_rate=0.05, seed=1)
     result = train_sgns(counts, cfg)
     off = dot_matrix(result.embeddings)[~np.eye(3, dtype=bool)]
@@ -176,7 +176,7 @@ def test_criterion_07_gradient_correctness():
         n = int(rng.integers(2, 5))
         d = int(rng.integers(1, 5))
         k = int(rng.integers(1, 4))
-        counts = CooccurrenceCounts.from_matrix(rng.integers(1, 30, size=(n, n)))
+        counts = CooccurrenceCounts(rng.integers(1, 30, size=(n, n)))
         pair = EmbeddingPair(w=rng.normal(scale=0.6, size=(n, d)),
                              h=rng.normal(scale=0.6, size=(n, d)))
         grad_w, grad_h = sgns_objective_gradient(counts, pair, k)
@@ -227,7 +227,7 @@ def test_criterion_10_manifest_reproducibility(tmp_path):
     graph_file = tmp_path / "path.edges"
     graph_file.write_text("0 1\n1 2\n")
     mat = np.array([[1, 2, 1], [2, 4, 2], [1, 2, 1]], dtype=np.int64)
-    counts = CooccurrenceCounts.from_matrix(mat)
+    counts = CooccurrenceCounts(mat)
     counts_csv = tmp_path / "counts.csv"
     write_counts_csv(counts, counts_csv)
     write_counts_sidecar(counts, tmp_path / "counts.json")

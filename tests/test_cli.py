@@ -45,7 +45,7 @@ def k2_file(tmp_path):
 def k3_counts_files(tmp_path):
     mat = np.full((3, 3), 100, dtype=np.int64)
     np.fill_diagonal(mat, 0)
-    counts = CooccurrenceCounts.from_matrix(mat)
+    counts = CooccurrenceCounts(mat)
     csv_path = tmp_path / "k3counts.csv"
     write_counts_csv(counts, csv_path)
     write_counts_sidecar(counts, tmp_path / "k3counts.json")
@@ -56,7 +56,7 @@ def _analytic_path_counts(tmp_path):
     # Counts equal to |D| * pi_i * P_ij for the path graph at window 2, so
     # every empirical statistic reproduces its closed form exactly.
     mat = np.array([[1, 2, 1], [2, 4, 2], [1, 2, 1]], dtype=np.int64)
-    counts = CooccurrenceCounts.from_matrix(mat)
+    counts = CooccurrenceCounts(mat)
     csv_path = tmp_path / "analytic.csv"
     write_counts_csv(counts, csv_path)
     write_counts_sidecar(counts, tmp_path / "analytic.json")
@@ -274,7 +274,7 @@ class TestCompare:
         graph_path = tmp_path / "g.edges"
         graph_path.write_text("".join(f"{u} {v}\n" for u, v in random_connected_graph(n, 3).edges))
         rng = np.random.default_rng(4)
-        counts = CooccurrenceCounts.from_matrix(
+        counts = CooccurrenceCounts(
             rng.integers(1, 20, (n, n)) * (rng.random((n, n)) < 0.3))
         write_counts_csv(counts, tmp_path / "counts.csv")
         write_counts_sidecar(counts, tmp_path / "counts.json")
@@ -290,7 +290,7 @@ class TestCompare:
         assert peak <= 6 * 8 * n ** 2
 
     def test_empty_counts_exit_2(self, tmp_path, path_graph_file, capsys):
-        counts = CooccurrenceCounts.from_matrix(np.zeros((3, 3), dtype=np.int64))
+        counts = CooccurrenceCounts(np.zeros((3, 3), dtype=np.int64))
         write_counts_csv(counts, tmp_path / "empty.csv")
         write_counts_sidecar(counts, tmp_path / "empty.json")
         code = main(["compare", "-i", str(path_graph_file), "--counts", str(tmp_path / "empty.csv"),
@@ -350,7 +350,7 @@ class TestMalformedCounts:
     @pytest.mark.parametrize("case", sorted(MALFORMED_COUNTS))
     def test_exits_2_naming_the_file(self, tmp_path, path_graph_file, capsys, command, case):
         named, edit = MALFORMED_COUNTS[case]
-        counts = CooccurrenceCounts.from_matrix(np.array([[1, 2, 1], [2, 4, 2], [1, 2, 1]]))
+        counts = CooccurrenceCounts(np.array([[1, 2, 1], [2, 4, 2], [1, 2, 1]]))
         csv_path, sidecar_path = tmp_path / "counts.csv", tmp_path / "counts.json"
         write_counts_csv(counts, csv_path)
         write_counts_sidecar(counts, sidecar_path)
@@ -443,7 +443,7 @@ class TestEmbed:
 class TestTrain:
     def test_upper_bound_where_k_times_the_marginals_pass_int64(self, tmp_path):
         # k #(0) #(1) = 5 * 2e9 * 2e9 = 2e19 > 2^63 - 1; every count fits.
-        counts = CooccurrenceCounts.from_matrix(np.array([[0, 2 * 10**9], [2 * 10**9, 0]]))
+        counts = CooccurrenceCounts(np.array([[0, 2 * 10**9], [2 * 10**9, 0]]))
         write_counts_csv(counts, tmp_path / "k2.csv")
         write_counts_sidecar(counts, tmp_path / "k2.json")
         out = tmp_path / "out"
@@ -473,7 +473,7 @@ class TestTrain:
         assert code == 0
         mat = np.full((3, 3), 100, dtype=np.int64)
         np.fill_diagonal(mat, 0)
-        expected = train_sgns(CooccurrenceCounts.from_matrix(mat),
+        expected = train_sgns(CooccurrenceCounts(mat),
                               TrainConfig(dim=2, negatives=1, epochs=0, seed=42))
         written = read_embedding_matrix(out / "embeddings_w.txt")
         assert np.array_equal(written, expected.embeddings.w)
@@ -638,8 +638,15 @@ class TestManifests:
         ("sample", "start_node", 1.5, "config 'start_node' must be int or null, got 1.5"),
         ("train", "learning_rate", "0.1", "config 'learning_rate' must be float or int, "
                                           "got '0.1'"),
+        # Ints the option's own flag refuses.
+        ("exact", "window", 0, "config 'window' must be a positive integer, got 0"),
+        ("sample", "length", 0, "config 'length' must be a positive integer, got 0"),
+        ("sample", "workers", 0, "config 'workers' must be a positive integer, got 0"),
+        ("sample", "burn_in", -1, "config 'burn_in' must be a non-negative integer, got -1"),
+        ("train", "epochs", -1, "config 'epochs' must be a non-negative integer, got -1"),
     ], ids=["str-window", "bool-window", "int-directed", "unknown-target", "null-input",
-            "unknown-key", "float-start-node", "str-learning-rate"])
+            "unknown-key", "float-start-node", "str-learning-rate", "zero-window",
+            "zero-length", "zero-workers", "negative-burn-in", "negative-epochs"])
     def test_rerun_ill_typed_config_exits_2(self, tmp_path, capsys, path_graph_file,
                                             command, key, value, message):
         out_dir = self._run_each_command(tmp_path, path_graph_file)[command]
@@ -649,6 +656,7 @@ class TestManifests:
         path.write_text(json.dumps(manifest))
         code = main(["rerun", "--manifest", str(path), "-o", str(tmp_path / "redo")])
         assert (code, capsys.readouterr().err) == (2, f"walkmf: error: manifest {path}: {message}\n")
+        assert not (tmp_path / "redo").exists()
 
     @pytest.mark.parametrize("start_mode, start_node", [
         ("uniform", 2), (None, 2), ("fixed", None),
@@ -711,6 +719,33 @@ class TestManifests:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("walkmf: error: ") and message in err
+        assert not redo.exists()
+
+    def test_rerun_hashes_each_input_once(self, tmp_path, path_graph_file, monkeypatch):
+        out_dirs = self._run_each_command(tmp_path, path_graph_file)
+        sha256, hashed = walkmf.cli._sha256, []
+
+        def spy(path):
+            hashed.append(str(path))
+            return sha256(path)
+
+        monkeypatch.setattr(walkmf.cli, "_sha256", spy)
+        for command in ("exact", "compare"):
+            hashed.clear()
+            manifest = out_dirs[command] / "manifest.json"
+            assert main(["rerun", "--manifest", str(manifest),
+                         "-o", str(tmp_path / f"redo_{command}")]) == 0
+            assert sorted(hashed) == sorted(_read_manifest(out_dirs[command])["inputs"])
+
+    def test_rerun_missing_input_exits_2_without_out_dir(self, tmp_path, capsys,
+                                                         path_graph_file):
+        out = tmp_path / "out"
+        assert main(["exact", "-i", str(path_graph_file), "-t", "2", "-o", str(out)]) == 0
+        path_graph_file.unlink()
+        redo = tmp_path / "redo"
+        code = main(["rerun", "--manifest", str(out / "manifest.json"), "-o", str(redo)])
+        assert (code, capsys.readouterr().err) == (
+            2, f"walkmf: error: input file not found: {path_graph_file.resolve()}\n")
         assert not redo.exists()
 
     def test_commands_do_not_mutate_inputs(self, tmp_path, path_graph_file):
@@ -855,7 +890,7 @@ class TestTransitionMatrixBuiltOnce:
         for module in (walkmf.cli, walkmf.graphs, walkmf.targets):
             monkeypatch.setattr(module, "transition_matrix", counted)
         if argv[0] == "compare":
-            counts = CooccurrenceCounts.from_matrix(np.array([[0, 2, 1], [2, 0, 3], [1, 3, 0]]))
+            counts = CooccurrenceCounts(np.array([[0, 2, 1], [2, 0, 3], [1, 3, 0]]))
             write_counts_csv(counts, tmp_path / "c.csv")
             write_counts_sidecar(counts, tmp_path / "c.json")
             argv = argv + ["--counts", str(tmp_path / "c.csv")]
@@ -875,6 +910,17 @@ class TestUsageErrors:
         code = main(["exact", "-i", str(tmp_path / "nope.edges"), "-o", str(tmp_path / "o")])
         assert code == 2
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["exact", "embed"])
+    @pytest.mark.parametrize("epsilon", ["5", "1"])
+    def test_epsilon_outside_unit_interval_is_usage_error(self, tmp_path, path_graph_file,
+                                                          capsys, command, epsilon):
+        out = tmp_path / "out"
+        code = main([command, "-i", str(path_graph_file), "-t", "2", "--epsilon", epsilon,
+                     "-o", str(out)])
+        assert code == 1
+        assert f"argument --epsilon: must be in (0, 1), got {epsilon}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestModuleEntryPoint:

@@ -102,10 +102,40 @@ class TestGraphInvariants:
         (((0, 1), (1, 2), (0, 1)), True, r"duplicate edge \(0, 1\)"),
         (((0, 1), (2, 2)), False, "self-loop on node 2"),
         (((0, 1), (2, 2)), True, "self-loop on node 2"),
+        # The first edge to repeat an earlier one is named, whichever way
+        # round either is given.
+        (((1, 0), (0, 2), (0, 1)), False, r"duplicate edge \(0, 1\)"),
+        (((2, 3), (0, 1), (3, 2), (0, 1)), False, r"duplicate edge \(3, 2\)"),
+        (((1, 2), (0, 1), (1, 2), (1, 2)), True, r"duplicate edge \(1, 2\)"),
     ])
     def test_direct_construction_rejects(self, edges, directed, match):
         with pytest.raises(EdgeListError, match=match):
-            Graph(n=3, edges=edges, directed=directed)
+            Graph(n=4, edges=edges, directed=directed)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data(), st.integers(2, 6), st.booleans())
+    def test_names_the_first_repeated_edge(self, data, n, directed):
+        # Random edges, some of them copies of earlier ones, plain or
+        # reversed, inserted anywhere.
+        arc = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda e: e[0] != e[1])
+        edges = data.draw(st.lists(arc, min_size=1, max_size=10))
+        for _ in range(data.draw(st.integers(0, 3))):
+            u, v = edges[data.draw(st.integers(0, len(edges) - 1))]
+            copy = (v, u) if data.draw(st.booleans()) else (u, v)
+            edges.insert(data.draw(st.integers(0, len(edges))), copy)
+        seen, first = set(), None
+        for u, v in edges:
+            key = (u, v) if directed else (min(u, v), max(u, v))
+            if key in seen:
+                first = (u, v)
+                break
+            seen.add(key)
+        if first is None:
+            Graph(n=n, edges=tuple(edges), directed=directed)
+        else:
+            with pytest.raises(EdgeListError, match=r"^duplicate edge \(%d, %d\)$" % first):
+                Graph(n=n, edges=tuple(edges), directed=directed)
 
     def test_reversed_pair_accepted_when_directed(self):
         g = Graph(n=2, edges=((0, 1), (1, 0)), directed=True)

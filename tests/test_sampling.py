@@ -4,6 +4,7 @@ import io
 import os
 import pickle
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ class TestSamplerConfig:
 
     def test_round_trips_through_dict(self):
         cfg = SamplerConfig(window=3, centers=10, seed=9, burn_in=5, workers=2)
-        assert SamplerConfig.from_dict(cfg.to_dict()) == cfg
+        assert SamplerConfig(**asdict(cfg)) == cfg
 
     def test_defaults_follow_directedness(self):
         und = default_sampler_config(path3(), window=2, centers=10)
@@ -496,13 +497,13 @@ class TestEmpiricalStatistics:
             assert row.sum() == 1.0
 
     def test_unobserved_row_is_nan_not_fabricated(self):
-        counts = CooccurrenceCounts.from_matrix(np.array([[0, 3, 0], [3, 0, 0], [0, 0, 0]]))
+        counts = CooccurrenceCounts(np.array([[0, 3, 0], [3, 0, 0], [0, 0, 0]]))
         emp = empirical_conditional(counts)
         assert np.isnan(emp[2]).all()
         assert np.isfinite(emp[:2]).all()
 
     def test_empty_counts_rejected(self):
-        counts = CooccurrenceCounts.from_matrix(np.zeros((2, 2), dtype=np.int64))
+        counts = CooccurrenceCounts(np.zeros((2, 2), dtype=np.int64))
         with pytest.raises(ValueError, match="empty"):
             empirical_frequency(counts)
 
@@ -557,7 +558,7 @@ class TestWriteCountsCsv:
         monkeypatch.setattr(parallel, "available_cores", lambda: cores)
         monkeypatch.setattr(parallel, "_SPLIT_VALUES", 1)
         monkeypatch.setattr(parallel, "_SLICE_VALUES", 120)
-        write_counts_csv(CooccurrenceCounts.from_matrix(mat), tmp_path / "counts.csv")
+        write_counts_csv(CooccurrenceCounts(mat), tmp_path / "counts.csv")
         assert (tmp_path / "counts.csv").read_bytes() == _csv_writer_counts(mat)
 
 
@@ -583,7 +584,7 @@ class TestCountsIO:
             read_counts_csv(tmp_path / "counts.csv", tmp_path / "counts.json")
 
     def test_lf_and_crlf_files_load_alike(self, tmp_path):
-        counts = CooccurrenceCounts.from_matrix(np.array([[0, 2, 1], [2, 0, 0], [1, 0, 0]]))
+        counts = CooccurrenceCounts(np.array([[0, 2, 1], [2, 0, 0], [1, 0, 0]]))
         write_counts_csv(counts, tmp_path / "counts.csv")
         write_counts_sidecar(counts, tmp_path / "counts.json")
         crlf = (tmp_path / "counts.csv").read_bytes()
@@ -594,7 +595,7 @@ class TestCountsIO:
             assert np.array_equal(loaded.dense, counts.dense)
 
     def test_header_only_file_is_all_zero_counts(self, tmp_path):
-        counts = CooccurrenceCounts.from_matrix(np.zeros((3, 3), dtype=np.int64))
+        counts = CooccurrenceCounts(np.zeros((3, 3), dtype=np.int64))
         write_counts_csv(counts, tmp_path / "counts.csv")
         write_counts_sidecar(counts, tmp_path / "counts.json")
         assert (tmp_path / "counts.csv").read_bytes() == b"v,c,count\r\n"
@@ -615,25 +616,25 @@ class TestCountsValidation:
     ])
     def test_constructor_rejects(self, mat):
         with pytest.raises(ValueError):
-            CooccurrenceCounts.from_matrix(mat)
+            CooccurrenceCounts(mat)
 
     def test_rejects_counts_whose_marginals_would_wrap(self):
         # Row 0 sums to 2^63, one past the int64 range.
         mat = np.array([[0, 2**62, 2**62], [1, 0, 0], [1, 0, 0]])
         with pytest.raises(ValueError, match=r"2\*\*62"):
-            CooccurrenceCounts.from_matrix(mat)
+            CooccurrenceCounts(mat)
 
     def test_accepts_2_to_the_62_pairs(self):
-        counts = CooccurrenceCounts.from_matrix(np.array([[0, 2**61], [2**61, 0]]))
+        counts = CooccurrenceCounts(np.array([[0, 2**61], [2**61, 0]]))
         assert counts.total == 2**62
 
     def test_marginals_are_derived_from_the_matrix(self):
-        counts = CooccurrenceCounts.from_matrix(np.array([[0, 2, 1], [3, 0, 0], [1, 0, 4]]))
+        counts = CooccurrenceCounts(np.array([[0, 2, 1], [3, 0, 0], [1, 0, 4]]))
         assert counts.n == 3
         assert counts.node_counts.tolist() == [3, 3, 5]
         assert counts.context_counts.tolist() == [4, 2, 5]
         assert counts.total == 11
-        assert counts.count(1, 0) == 3 and counts.count(0, 1) == 2
+        assert int(counts.dense[1, 0]) == 3 and int(counts.dense[0, 1]) == 2
         assert not counts.is_symmetric()
         with pytest.raises(ValueError):
             counts.dense[0, 0] = 1
@@ -643,24 +644,24 @@ class TestCountsValidation:
             merge_counts([])
 
     def test_merge_rejects_different_node_sets(self):
-        parts = [CooccurrenceCounts.from_matrix(np.ones((n, n), dtype=np.int64)) for n in (2, 3)]
+        parts = [CooccurrenceCounts(np.ones((n, n), dtype=np.int64)) for n in (2, 3)]
         with pytest.raises(ValueError, match="different node sets"):
             merge_counts(parts)
 
     def test_merge_sums_matrices(self):
-        a = CooccurrenceCounts.from_matrix(np.array([[0, 1], [2, 0]]))
-        b = CooccurrenceCounts.from_matrix(np.array([[3, 0], [1, 1]]))
+        a = CooccurrenceCounts(np.array([[0, 1], [2, 0]]))
+        b = CooccurrenceCounts(np.array([[3, 0], [1, 1]]))
         assert merge_counts([a, b]).dense.tolist() == [[3, 1], [3, 1]]
 
     def test_merge_takes_a_generator_and_leaves_its_parts_alone(self):
-        parts = [CooccurrenceCounts.from_matrix(np.array([[0, 1], [2, 0]])) for _ in range(3)]
+        parts = [CooccurrenceCounts(np.array([[0, 1], [2, 0]])) for _ in range(3)]
         assert merge_counts(p for p in parts).dense.tolist() == [[0, 3], [6, 0]]
         assert [p.total for p in parts] == [3, 3, 3]
         with pytest.raises(ValueError, match="nothing"):
             merge_counts(iter(()))
 
     def test_pickle_round_trip_stays_read_only_and_checked(self):
-        counts = CooccurrenceCounts.from_matrix(np.array([[0, 2], [5, 1]]))
+        counts = CooccurrenceCounts(np.array([[0, 2], [5, 1]]))
         back = pickle.loads(pickle.dumps(counts, protocol=pickle.HIGHEST_PROTOCOL))
         assert back.dense.tolist() == [[0, 2], [5, 1]]
         assert (back.total, back.node_counts.tolist()) == (8, [2, 6])

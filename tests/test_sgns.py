@@ -28,18 +28,18 @@ def _log_sigmoid(x):
 
 
 def _k2_counts(per_pair=500):
-    return CooccurrenceCounts.from_matrix(np.array([[0, per_pair], [per_pair, 0]]))
+    return CooccurrenceCounts(np.array([[0, per_pair], [per_pair, 0]]))
 
 
 def _uniform_k3_counts(per_pair=100):
     mat = np.full((3, 3), per_pair, dtype=np.int64)
     np.fill_diagonal(mat, 0)
-    return CooccurrenceCounts.from_matrix(mat)
+    return CooccurrenceCounts(mat)
 
 
 def _random_counts(rng, n):
     mat = rng.integers(1, 40, size=(n, n))
-    return CooccurrenceCounts.from_matrix(mat)
+    return CooccurrenceCounts(mat)
 
 
 def _random_pair(rng, n, d, scale=0.7):
@@ -160,7 +160,7 @@ def _partly_observed_counts(rng, n):
     nodes = rng.permutation(n)
     mat[nodes[:2], :] = 0
     mat[:, nodes[2:5]] = 0
-    return CooccurrenceCounts.from_matrix(mat), nodes[:2], nodes[2:5]
+    return CooccurrenceCounts(mat), nodes[:2], nodes[2:5]
 
 
 class TestObservedSupport:
@@ -199,7 +199,7 @@ class TestObservedSupport:
         lambda counts, pair: sgns_objective_upper_bound(counts, 1),
     ], ids=["objective", "gradient", "upper_bound"])
     def test_empty_counts_rejected(self, evaluate):
-        counts = CooccurrenceCounts.from_matrix(np.zeros((3, 3), dtype=np.int64))
+        counts = CooccurrenceCounts(np.zeros((3, 3), dtype=np.int64))
         pair = EmbeddingPair(w=np.zeros((3, 2)), h=np.zeros((3, 2)))
         with pytest.raises(ValueError, match="counts are empty"):
             evaluate(counts, pair)
@@ -215,7 +215,7 @@ class TestScalarCriticalPoint:
             counts = _random_counts(rng, n)
             k = int(rng.integers(1, 6))
             v, c = (int(x) for x in rng.integers(0, n, size=2))
-            joint = counts.count(v, c)
+            joint = int(counts.dense[v, c])
             noise_mass = k * counts.node_counts[v] * counts.context_counts[c] / counts.total
             x_star = math.log(joint * counts.total
                               / (counts.node_counts[v] * counts.context_counts[c])) - math.log(k)
@@ -232,7 +232,7 @@ class TestScalarCriticalPoint:
 
 def _random_symmetric_counts(n=40, seed=2):
     mat = np.random.default_rng(seed).integers(1, 6, size=(n, n))
-    return CooccurrenceCounts.from_matrix(mat + mat.T)
+    return CooccurrenceCounts(mat + mat.T)
 
 
 def _star_counts(leaves=9, per_pair=20):
@@ -240,7 +240,7 @@ def _star_counts(leaves=9, per_pair=20):
     # holds half the noise mass.
     mat = np.zeros((leaves + 1, leaves + 1), dtype=np.int64)
     mat[0, 1:] = mat[1:, 0] = per_pair
-    return CooccurrenceCounts.from_matrix(mat)
+    return CooccurrenceCounts(mat)
 
 
 def _mean_error_to_shifted_pmi(counts, pair, k):
@@ -311,7 +311,7 @@ class TestTrainSgns:
             assert result.final_objective <= bound + 1e-6
 
     def test_empty_counts_rejected(self):
-        counts = CooccurrenceCounts.from_matrix(np.zeros((2, 2), dtype=np.int64))
+        counts = CooccurrenceCounts(np.zeros((2, 2), dtype=np.int64))
         with pytest.raises(ValueError, match="empty"):
             train_sgns(counts, TrainConfig(dim=2))
 
@@ -348,7 +348,7 @@ class TestTrainSgns:
         # PMI - log k entrywise.
         mat = np.random.default_rng(2).integers(20, 60, size=(4, 4))
         for counts, cfg, tolerance in [
-            (CooccurrenceCounts.from_matrix(mat + mat.T),  # symmetric, all positive
+            (CooccurrenceCounts(mat + mat.T),  # symmetric, all positive
              TrainConfig(dim=4, negatives=1, epochs=150, learning_rate=0.05, seed=5), 0.1),
             (_random_symmetric_counts(),
              TrainConfig(dim=40, negatives=1, epochs=40, learning_rate=0.05, seed=3), 0.15),

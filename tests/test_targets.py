@@ -45,7 +45,7 @@ def _row_softmax(mat):
 def _uniform_k3_counts(per_pair=100):
     mat = np.full((3, 3), per_pair, dtype=np.int64)
     np.fill_diagonal(mat, 0)
-    return CooccurrenceCounts.from_matrix(mat)
+    return CooccurrenceCounts(mat)
 
 
 class TestWalkProbabilityMatrix:
@@ -156,12 +156,12 @@ class TestExpectedNeighborCounts:
 
 class TestSgnsTargetFromCounts:
     def test_k2_counts_k1(self):
-        counts = CooccurrenceCounts.from_matrix(np.array([[0, 500], [500, 0]]))
+        counts = CooccurrenceCounts(np.array([[0, 500], [500, 0]]))
         target = sgns_target_from_counts(counts, k=1, zero_policy="floor")
         assert np.allclose(target.values[[0, 1], [1, 0]], math.log(2.0), atol=1e-12)
 
     def test_k2_counts_k2_shift_cancels(self):
-        counts = CooccurrenceCounts.from_matrix(np.array([[0, 500], [500, 0]]))
+        counts = CooccurrenceCounts(np.array([[0, 500], [500, 0]]))
         target = sgns_target_from_counts(counts, k=2, zero_policy="truncate")
         assert np.allclose(target.values[[0, 1], [1, 0]], 0.0, atol=1e-12)
 
@@ -181,7 +181,7 @@ class TestSgnsTargetFromCounts:
         assert np.array_equal(target.mask, np.eye(3, dtype=bool))
 
     def test_absent_row_is_nan(self):
-        counts = CooccurrenceCounts.from_matrix(np.array([[0, 3, 0], [3, 0, 0], [0, 0, 0]]))
+        counts = CooccurrenceCounts(np.array([[0, 3, 0], [3, 0, 0], [0, 0, 0]]))
         target = sgns_target_from_counts(counts, k=1, zero_policy="floor")
         assert np.isnan(target.values[2]).all()
         assert np.isfinite(target.values[:2]).all()
@@ -192,7 +192,7 @@ class TestSgnsTargetFromCounts:
 
     def test_k2_counts_whose_marginal_product_passes_int64(self):
         # #(0) #(1) = 4e9 * 4e9 = 1.6e19 > 2^63 - 1; every count fits.
-        counts = CooccurrenceCounts.from_matrix(np.array([[0, 4 * 10**9], [4 * 10**9, 0]]))
+        counts = CooccurrenceCounts(np.array([[0, 4 * 10**9], [4 * 10**9, 0]]))
         target = sgns_target_from_counts(counts, k=1)
         assert target.values[0, 1] == target.values[1, 0] == math.log(2.0)
 
@@ -321,7 +321,7 @@ def _counts_with_absent_node(n=40, seed=6):
     mat = rng.integers(0, 50, (n, n)) * (rng.random((n, n)) < 0.4)
     mat[3, :] = 0
     mat[:, 7] = 0
-    return CooccurrenceCounts.from_matrix(mat)
+    return CooccurrenceCounts(mat)
 
 
 class TestBuildersMatchReferenceBitwise:
