@@ -16,6 +16,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, fields, replace
@@ -83,14 +84,17 @@ FORMATS = ("csv", "json")
 
 
 class UsageError(Exception):
-    """Bad flag combination detected after parsing (exit code 1)."""
+    """A usage error (exit code 1), with the parser if one refused a flag."""
+
+    def __init__(self, message: str, parser=None):
+        super().__init__(message)
+        self.parser = parser
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage problems by default; the contract here is 1.
+    # argparse exits 2 on usage errors; here main exits 1 and rerun reports them.
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        raise UsageError(message, self)
 
 
 def _positive_int(text: str) -> int:
@@ -211,9 +215,12 @@ def run_sample(config: dict, out_dir: Path) -> list[str]:
 
 def run_compare(config: dict, out_dir: Path) -> list[str]:
     g = load_edge_list(config["input"], directed=config["directed"])
-    counts, _ = read_counts_csv(config["counts"], config["counts_sidecar"])
+    counts, sampled_with = read_counts_csv(config["counts"], config["counts_sidecar"])
     if counts.n != g.n:
         raise ValueError(f"counts cover {counts.n} nodes but the graph has {g.n}")
+    if sampled_with is not None and sampled_with.window != config["window"]:
+        raise ValueError(f"counts were sampled at window {sampled_with.window} but the "
+                         f"comparison is at window {config['window']}")
 
     p, pi = _closed_forms(g, config["window"])
     k = config["negatives"]
@@ -386,58 +393,34 @@ def _input_keys(command: str) -> list[str]:
     return [key for _, key, kwargs in options if kwargs.get("type") is Path]
 
 
-_NONE = type(None)
-
-
-def _allowed(key: str, kwargs: dict) -> tuple:
-    """The types a recorded value of an option may have or, for a choice,
-    the values it may take. A float may also be written as an integer; a
-    bool is never an int."""
-    if kwargs.get("action") == "store_true":
-        allowed = (bool,)
-    elif "choices" in kwargs:
-        allowed = tuple(kwargs["choices"])
-    else:  # every other type parses an int
-        allowed = {Path: (str,), _positive_float: (float, int),
-                   _fraction: (float, int)}.get(kwargs["type"], (int,))
-    if "default" in kwargs and kwargs["default"] is None and key not in _DERIVED_DEFAULTS:
-        allowed += (None,) if "choices" in kwargs else (_NONE,)
-    return allowed
-
-
-def _start_mismatch(config: dict) -> bool:
-    """Whether a sample config gives a start node without mode fixed or back."""
-    return (config["start_node"] is not None) != (config["start_mode"] == "fixed")
-
-
 def _config_problem(command: str, config: dict):
-    """What makes config differ from every config _config_from_args makes
-    for command: a missing or unknown key, a value of the wrong type or
-    outside its choices, an int its flag's parser type refuses, or a start
-    node that disagrees with the start mode. None if there is nothing.
-    Floats are left to the checks of the code that uses them."""
+    """Why config is not a config _config_from_args makes for command, or
+    None: a missing or unknown key, a value its flag refuses, in the command
+    line's words, or one it reads back as another value or type (an int may
+    stand for a float). Values go in as --flag=value, so "--help" is a value."""
     _, options = _COMMANDS[command]
-    for _, key, kwargs in options:
+    for _, key, _ in options:
         if key not in config:
             return f"config '{key}' is missing"
-        value, allowed = config[key], _allowed(key, kwargs)
-        if isinstance(allowed[0], type):
-            if type(value) not in allowed:
-                names = " or ".join("null" if t is _NONE else t.__name__ for t in allowed)
-                return f"config '{key}' must be {names}, got {value!r}"
-            if value is not None and kwargs.get("type") in (_positive_int, _nonnegative_int):
-                try:
-                    kwargs["type"](str(value))
-                except argparse.ArgumentTypeError as exc:
-                    return f"config '{key}' {exc}"
-        elif not any(type(value) is type(choice) and value == choice for choice in allowed):
-            return f"config '{key}' must be one of {list(allowed)}, got {value!r}"
     unknown = sorted(config.keys() - {key for _, key, _ in options})
     if unknown:
         return f"config has unknown key '{unknown[0]}'"
-    if command == "sample" and _start_mismatch(config):
-        return (f"config 'start_node' is {config['start_node']!r} but 'start_mode' is "
-                f"{config['start_mode']!r}: a start node is given exactly when the mode is 'fixed'")
+    argv = [command, "--out-dir", "."]
+    for flags, key, kwargs in options:
+        value = config[key]
+        if kwargs.get("action") == "store_true":
+            argv += [flags[0]] if value is True else []
+        elif value is not None:
+            argv.append(f"{flags[0]}={value}")
+    try:
+        rebuilt = _config_from_args(build_parser().parse_args(argv))
+    except UsageError as exc:
+        return f"config: {exc}"
+    for key, want in rebuilt.items():
+        value = config[key]
+        if value != want or (type(value) is not type(want)
+                             and (type(value), type(want)) != (int, float)):
+            return f"config '{key}' is {value!r}, but its flag reads it as {want!r}"
     return None
 
 
@@ -554,26 +537,33 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> dict:
     """The config a command records: each option's value under its key, with
     the derived defaults filled in and each input file's path resolved."""
-    if args.command == "sample" and _start_mismatch(vars(args)):
+    if args.command == "sample" and (args.start_node is not None) != (args.start_mode == "fixed"):
         raise UsageError("--start-node and --start-mode fixed must be given together")
     _, options = _COMMANDS[args.command]
     config = {key: getattr(args, key) for _, key, _ in options}
+    for flags, key, _ in options:
+        if isinstance(config[key], list):  # argparse before 3.12 drops a "--" value
+            raise UsageError(f"argument {'/'.join(flags)}: expected one argument")
     # Before the paths resolve: the default sidecar sits beside the counts
     # path as given, even where that is a link.
     for key, default in _DERIVED_DEFAULTS.items():
         if key in config and config[key] is None:
             config[key] = default(config)
     for key in _input_keys(args.command):
-        config[key] = str(Path(config[key]).resolve())
+        # Not Path.resolve, which raises RuntimeError on a symlink loop.
+        config[key] = os.path.realpath(config[key])
     return config
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
+    except UsageError as exc:
+        exc.parser.print_usage(sys.stderr)
+        print(f"{exc.parser.prog}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     try:
         if args.command == "rerun":

@@ -131,12 +131,11 @@ def load_edge_list(path, directed: bool = False) -> Graph:
 
 
 def serialize_edge_list(g: Graph) -> str:
-    """Render a graph back to edge-list text. Parsing the text with g's
-    `directed` gives g back when node n - 1 has an edge; otherwise it gives
-    fewer nodes, since the parsed node count is 1 + the largest id named."""
-    out = [f"# nodes: {g.n}", f"# directed: {str(g.directed).lower()}"]
-    out.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(out) + "\n"
+    """Render a graph back to edge-list text, one `u v` line per edge. Parsing
+    the text with g's `directed` gives g back when node n - 1 has an edge;
+    otherwise it gives fewer nodes, since the parsed node count is 1 + the
+    largest id named."""
+    return "".join(f"{u} {v}\n" for u, v in g.edges)
 
 
 def transition_matrix(g: Graph) -> np.ndarray:

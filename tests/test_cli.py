@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import walkmf.cli
 import walkmf.graphs
@@ -265,6 +267,27 @@ class TestCompare:
         report = json.loads((out / "comparison.json").read_text())
         assert report["conditional_vs_walk_matrix"]["max_abs"] < 0.01
         assert report["frequency_vs_stationary"]["max_abs"] < 0.01
+
+    def test_counts_sampled_at_another_window_exit_2(self, tmp_path, path_graph_file, capsys):
+        sample_out = tmp_path / "sample"
+        assert main(["sample", "-i", str(path_graph_file), "-t", "2", "-L", "300",
+                     "-o", str(sample_out)]) == 0
+        out = tmp_path / "cmp"
+        code = main(["compare", "-i", str(path_graph_file),
+                     "--counts", str(sample_out / "counts.csv"), "-o", str(out)])
+        assert (code, capsys.readouterr().err) == (
+            2, "walkmf: error: counts were sampled at window 2 but the comparison is at "
+               "window 5\n")
+        assert not out.exists()
+
+    def test_counts_sampled_at_the_same_window_compare(self, tmp_path, path_graph_file):
+        sample_out = tmp_path / "sample"
+        assert main(["sample", "-i", str(path_graph_file), "-t", "3", "-L", "300",
+                     "-o", str(sample_out)]) == 0
+        out = tmp_path / "cmp"
+        assert main(["compare", "-i", str(path_graph_file), "-t", "3",
+                     "--counts", str(sample_out / "counts.csv"), "-o", str(out)]) == 0
+        assert json.loads((out / "comparison.json").read_text())["window"] == 3
 
     def test_holds_six_matrices_at_most(self, tmp_path):
         # At n = 600 one n x n float array is 8n^2 = 2.7 MiB. Counts, P, the
@@ -560,10 +583,24 @@ class TestTrain:
         assert [p.name for p in out.iterdir()] == ["partial.csv"]
 
 
+def _refused_words(argv, capsys):
+    """The words the command line refuses argv with: its last stderr line
+    after `error: `."""
+    capsys.readouterr()
+    assert main(argv) == 1
+    return capsys.readouterr().err.splitlines()[-1].split("error: ", 1)[1]
+
+
+def _with_flags(*flags):
+    """An edit that appends flags to a command line; argparse reads the last
+    of a repeated flag."""
+    return lambda argv: [*argv, *flags]
+
+
 class TestManifests:
-    def _run_each_command(self, tmp_path, graph_file):
+    def _argvs(self, tmp_path, graph_file):
         counts_csv = _analytic_path_counts(tmp_path)
-        runs = {
+        return {
             "exact": ["exact", "-i", str(graph_file), "-t", "2",
                       "-o", str(tmp_path / "m_exact")],
             "sample": ["sample", "-i", str(graph_file), "-t", "2", "-L", "300",
@@ -575,6 +612,9 @@ class TestManifests:
             "train": ["train", "--counts", str(counts_csv), "-d", "2", "-k", "1",
                       "--epochs", "2", "--seed", "1", "-o", str(tmp_path / "m_train")],
         }
+
+    def _run_each_command(self, tmp_path, graph_file):
+        runs = self._argvs(tmp_path, graph_file)
         for name, argv in runs.items():
             assert main(argv) == 0, name
         return {name: tmp_path / f"m_{name}" for name in runs}
@@ -627,35 +667,77 @@ class TestManifests:
         assert (code, capsys.readouterr().err) == (
             2, f"walkmf: error: manifest {path}: config 'directed' is missing\n")
 
-    @pytest.mark.parametrize("command, key, value, message", [
-        ("exact", "window", "x", "config 'window' must be int, got 'x'"),
-        ("exact", "window", True, "config 'window' must be int, got True"),
-        ("exact", "directed", 0, "config 'directed' must be bool, got 0"),
-        ("exact", "target", "sgsn", "config 'target' must be one of ['softmax', 'sgns'], "
-                                    "got 'sgsn'"),
-        ("exact", "input", None, "config 'input' must be str, got None"),
+    @pytest.mark.parametrize("command, key, value, refusal", [
+        ("exact", "window", "x", _with_flags("-t", "x")),
+        ("exact", "window", True, _with_flags("-t", "True")),
+        ("exact", "directed", 0, "config 'directed' is 0, but its flag reads it as False"),
+        ("exact", "target", "sgsn", _with_flags("--target", "sgsn")),
+        ("exact", "input", None, lambda argv: [argv[0], *argv[3:]]),
         ("exact", "windows", 2, "config has unknown key 'windows'"),
-        ("sample", "start_node", 1.5, "config 'start_node' must be int or null, got 1.5"),
-        ("train", "learning_rate", "0.1", "config 'learning_rate' must be float or int, "
-                                          "got '0.1'"),
-        # Ints the option's own flag refuses.
-        ("exact", "window", 0, "config 'window' must be a positive integer, got 0"),
-        ("sample", "length", 0, "config 'length' must be a positive integer, got 0"),
-        ("sample", "workers", 0, "config 'workers' must be a positive integer, got 0"),
-        ("sample", "burn_in", -1, "config 'burn_in' must be a non-negative integer, got -1"),
-        ("train", "epochs", -1, "config 'epochs' must be a non-negative integer, got -1"),
+        ("sample", "start_node", 1.5, _with_flags("--start-node", "1.5")),
+        ("train", "learning_rate", "0.1",
+         "config 'learning_rate' is '0.1', but its flag reads it as 0.1"),
+        ("exact", "window", 0, _with_flags("-t", "0")),
+        ("sample", "length", 0, _with_flags("-L", "0")),
+        ("sample", "workers", 0, _with_flags("--workers", "0")),
+        ("sample", "burn_in", -1, _with_flags("--burn-in", "-1")),
+        ("train", "epochs", -1, _with_flags("--epochs", "-1")),
+        # Floats the option's own flag refuses.
+        ("exact", "epsilon", 5, _with_flags("--epsilon", "5")),
+        ("embed", "epsilon", 1.0, _with_flags("--epsilon", "1.0")),
+        ("train", "learning_rate", 0, _with_flags("--lr", "0")),
+        ("train", "init_scale", -0.5, _with_flags("--init-scale", "-0.5")),
+        ("train", "init_scale", math.inf, _with_flags("--init-scale", "inf")),
+        # A value that reads as a flag on its own is a value here.
+        ("exact", "target", "--help", _with_flags("--target=--help")),
     ], ids=["str-window", "bool-window", "int-directed", "unknown-target", "null-input",
             "unknown-key", "float-start-node", "str-learning-rate", "zero-window",
-            "zero-length", "zero-workers", "negative-burn-in", "negative-epochs"])
+            "zero-length", "zero-workers", "negative-burn-in", "negative-epochs",
+            "epsilon-above-one", "epsilon-one", "zero-learning-rate", "negative-init-scale",
+            "infinite-init-scale", "help-as-target"])
     def test_rerun_ill_typed_config_exits_2(self, tmp_path, capsys, path_graph_file,
-                                            command, key, value, message):
+                                            command, key, value, refusal):
+        # A refused value reads as the command line refuses it, in its words.
         out_dir = self._run_each_command(tmp_path, path_graph_file)[command]
         manifest = _read_manifest(out_dir)
         manifest["config"][key] = value
         path = tmp_path / "edited.json"
         path.write_text(json.dumps(manifest))
         code = main(["rerun", "--manifest", str(path), "-o", str(tmp_path / "redo")])
-        assert (code, capsys.readouterr().err) == (2, f"walkmf: error: manifest {path}: {message}\n")
+        err = capsys.readouterr().err
+        if callable(refusal):
+            argv = refusal(self._argvs(tmp_path, path_graph_file)[command])
+            refusal = f"config: {_refused_words(argv, capsys)}"
+        assert (code, err) == (2, f"walkmf: error: manifest {path}: {refusal}\n")
+        assert not (tmp_path / "redo").exists()
+
+    @pytest.mark.parametrize("key", ["input", "window", "target"])
+    def test_rerun_refuses_a_double_dash_value(self, tmp_path, capsys, path_graph_file, key):
+        # Before Python 3.12 argparse reads --flag=-- as a flag without a value.
+        out_dir = self._run_each_command(tmp_path, path_graph_file)["exact"]
+        manifest = _read_manifest(out_dir)
+        manifest["config"][key] = "--"
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(manifest))
+        code = main(["rerun", "--manifest", str(path), "-o", str(tmp_path / "redo")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"walkmf: error: manifest {path}: config")
+        assert not (tmp_path / "redo").exists()
+
+    def test_rerun_refuses_an_unresolved_input_path(self, tmp_path, capsys, path_graph_file,
+                                                    monkeypatch):
+        out_dir = self._run_each_command(tmp_path, path_graph_file)["exact"]
+        manifest = _read_manifest(out_dir)
+        (digest,) = manifest["inputs"].values()
+        manifest["config"]["input"] = "path.edges"
+        manifest["inputs"] = {"path.edges": digest}
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(manifest))
+        monkeypatch.chdir(tmp_path)
+        code = main(["rerun", "--manifest", str(path), "-o", str(tmp_path / "redo")])
+        assert (code, capsys.readouterr().err) == (
+            2, f"walkmf: error: manifest {path}: config 'input' is 'path.edges', but its "
+               f"flag reads it as {str(path_graph_file.resolve())!r}\n")
         assert not (tmp_path / "redo").exists()
 
     @pytest.mark.parametrize("start_mode, start_node", [
@@ -672,10 +754,11 @@ class TestManifests:
         path.write_text(json.dumps(manifest))
         redo = tmp_path / "redo"
         code = main(["rerun", "--manifest", str(path), "-o", str(redo)])
-        assert (code, capsys.readouterr().err) == (
-            2, f"walkmf: error: manifest {path}: config 'start_node' is {start_node!r} but "
-               f"'start_mode' is {start_mode!r}: a start node is given exactly when the mode "
-               "is 'fixed'\n")
+        err = capsys.readouterr().err
+        flags = [f"--{flag}={value}" for flag, value in
+                 (("start-mode", start_mode), ("start-node", start_node)) if value is not None]
+        words = _refused_words(self._argvs(tmp_path, path_graph_file)["sample"] + flags, capsys)
+        assert (code, err) == (2, f"walkmf: error: manifest {path}: config: {words}\n")
         assert not redo.exists()
 
     @pytest.mark.parametrize("command, edit, message", [
@@ -702,8 +785,8 @@ class TestManifests:
         assert not (tmp_path / "redo").exists()
 
     @pytest.mark.parametrize("key, value, message", [
-        ("learning_rate", math.nan, "learning_rate must be finite and > 0, got nan"),
-        ("learning_rate", math.inf, "learning_rate must be finite and > 0, got inf"),
+        ("learning_rate", math.nan, "config: argument --lr: must be finite, got nan"),
+        ("learning_rate", math.inf, "config: argument --lr: must be finite, got inf"),
         ("init_scale", 1e308, "init_scale must be > 0 and at most"),
     ], ids=["lr-nan", "lr-inf", "init-scale-too-large"])
     def test_rerun_rejects_train_floats_that_corrupt_training(self, tmp_path, capsys,
@@ -835,6 +918,40 @@ class TestRecordedConfig:
             "dim": 3, "negatives": 2, "epochs": 2, "learning_rate": 0.05, "init_scale": 0.2,
             "seed": 7}
 
+    # Text each option type parses; a drawn None leaves an optional flag out.
+    _FLAG_TEXT = {
+        walkmf.cli._positive_int: st.integers(1, 10**9).map(str),
+        walkmf.cli._nonnegative_int: st.integers(0, 10**9).map(str),
+        walkmf.cli._positive_float: st.one_of(
+            st.floats(0, exclude_min=True, allow_infinity=False).map(repr),
+            st.integers(1, 10**6).map(str)),
+        walkmf.cli._fraction: st.floats(0, 1, exclude_min=True, exclude_max=True).map(repr),
+        Path: st.text("ab._-=/ ", min_size=1, max_size=8),
+    }
+
+    @pytest.mark.parametrize("command", sorted(walkmf.cli._COMMANDS))
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_every_config_the_flags_make_passes_the_config_check(self, command, data):
+        _, options = walkmf.cli._COMMANDS[command]
+        argv = [command, "--out-dir", "out"]
+        for flags, key, kwargs in options:
+            if kwargs.get("action") == "store_true":
+                argv += [flags[0]] if data.draw(st.booleans(), label=key) else []
+                continue
+            text = (st.sampled_from(kwargs["choices"]) if "choices" in kwargs
+                    else self._FLAG_TEXT[kwargs["type"]])
+            if not kwargs.get("required"):
+                text = st.none() | text
+            value = data.draw(text, label=key)
+            if value is not None:
+                argv.append(f"{flags[0]}={value}")
+        try:
+            config = walkmf.cli._config_from_args(walkmf.cli.build_parser().parse_args(argv))
+        except (walkmf.cli.UsageError, ValueError):  # a start node without mode fixed, or
+            reject()                                # a counts path with no name to suffix
+        assert walkmf.cli._config_problem(command, config) is None
+
     def test_short_flags_record_what_long_ones_do(self, tmp_path, files):
         short = ["embed", "-i", files["graph"], "-t", "2", "-k", "3", "-d", "2"]
         long = ["embed", "--input", files["graph"], "--window", "2", "--negative", "3",
@@ -911,6 +1028,20 @@ class TestUsageErrors:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--window=--", "-t=--", "--target=--"])
+    def test_double_dash_value_is_usage_error(self, tmp_path, path_graph_file, flag):
+        out = tmp_path / "out"
+        assert main(["exact", "-i", str(path_graph_file), flag, "-o", str(out)]) == 1
+        assert not out.exists()
+
+    def test_symlink_loop_input_exits_2(self, tmp_path, capsys):
+        loop = tmp_path / "loop.edges"
+        loop.symlink_to(loop)
+        code = main(["exact", "-i", str(loop), "-o", str(tmp_path / "o")])
+        assert (code, capsys.readouterr().err) == (
+            2, f"walkmf: error: input file not found: {os.path.realpath(loop)}\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["exact", "embed"])
     @pytest.mark.parametrize("epsilon", ["5", "1"])
     def test_epsilon_outside_unit_interval_is_usage_error(self, tmp_path, path_graph_file,
@@ -920,6 +1051,49 @@ class TestUsageErrors:
                      "-o", str(out)])
         assert code == 1
         assert f"argument --epsilon: must be in (0, 1), got {epsilon}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("argv, stderr", [
+        (["exact", "-i", "g.edges", "-t", "0"],
+         "usage: walkmf exact [-h] --input INPUT [--directed] [--window WINDOW]\n"
+         "                    [--target {softmax,sgns}] [--bias {zero,log2t}]\n"
+         "                    [--negative NEGATIVE]\n"
+         "                    [--zero-policy {floor,truncate,mask}] [--epsilon EPSILON]\n"
+         "                    [--format {csv,json}] --out-dir OUT_DIR\n"
+         "walkmf exact: error: argument --window/-t: must be a positive integer, got 0\n"),
+        (["sample", "-i", "g.edges", "-L", "0"],
+         "usage: walkmf sample [-h] --input INPUT [--directed] [--window WINDOW]\n"
+         "                     --length LENGTH [--seed SEED] [--workers WORKERS]\n"
+         "                     [--start-mode {stationary,uniform,fixed}]\n"
+         "                     [--start-node START_NODE] [--burn-in BURN_IN] --out-dir\n"
+         "                     OUT_DIR\n"
+         "walkmf sample: error: argument --length/-L: must be a positive integer, got 0\n"),
+        (["compare", "-i", "g.edges", "--counts", "c.csv", "-k", "0"],
+         "usage: walkmf compare [-h] --input INPUT [--directed] --counts COUNTS\n"
+         "                      [--counts-sidecar COUNTS_SIDECAR] [--window WINDOW]\n"
+         "                      [--negative NEGATIVE] --out-dir OUT_DIR\n"
+         "walkmf compare: error: argument --negative/-k: must be a positive integer, got 0\n"),
+        (["embed", "-i", "g.edges", "-d", "0"],
+         "usage: walkmf embed [-h] --input INPUT [--directed] [--window WINDOW]\n"
+         "                    [--dim DIM] [--target {softmax,sgns}]\n"
+         "                    [--bias {zero,log2t}] [--negative NEGATIVE]\n"
+         "                    [--zero-policy {floor,truncate,mask}] [--epsilon EPSILON]\n"
+         "                    [--split {symmetric,left}] --out-dir OUT_DIR\n"
+         "walkmf embed: error: argument --dim/-d: must be a positive integer, got 0\n"),
+        (["train", "--counts", "c.csv", "--lr", "nan"],
+         "usage: walkmf train [-h] --counts COUNTS [--counts-sidecar COUNTS_SIDECAR]\n"
+         "                    [--dim DIM] [--negative NEGATIVE] [--epochs EPOCHS]\n"
+         "                    [--lr LR] [--init-scale INIT_SCALE] [--seed SEED]\n"
+         "                    --out-dir OUT_DIR\n"
+         "walkmf train: error: argument --lr: must be finite, got nan\n"),
+    ], ids=["exact", "sample", "compare", "embed", "train"])
+    def test_bad_flag_prints_usage_and_error(self, tmp_path, capsys, monkeypatch, argv,
+                                             stderr):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+        out = tmp_path / "out"
+        assert main([*argv, "-o", str(out)]) == 1
+        assert capsys.readouterr() == ("", stderr)
         assert not out.exists()
 
 

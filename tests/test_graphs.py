@@ -84,6 +84,16 @@ class TestParseEdgeList:
         assert second == first
         assert serialize_edge_list(second) == serialize_edge_list(first)
 
+    @pytest.mark.parametrize("g", [
+        Graph(n=5, edges=((0, 1),), directed=True),
+        random_connected_graph(9, seed=2),
+    ], ids=["isolated-nodes-directed", "random"])
+    def test_serialized_text_holds_only_edge_lines(self, g):
+        # Nothing the parser skips, so the text claims nothing it cannot read back.
+        lines = serialize_edge_list(g).splitlines()
+        assert lines == [f"{u} {v}" for u, v in g.edges]
+        assert all(len(parse_edge_list(line, directed=True).edges) == 1 for line in lines)
+
     @settings(deadline=None, max_examples=50)
     @given(st.integers(0, 10**6), st.integers(2, 14))
     def test_round_trip_random_graphs(self, seed, n):
