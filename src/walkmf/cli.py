@@ -32,6 +32,7 @@ from .factorization import (
     factorize,
     reconstruction_error,
     singular_values,
+    symmetrize_in_place,
     write_embedding_matrix,
 )
 from .graphs import (
@@ -252,6 +253,10 @@ def run_embed(config: dict, out_dir: Path) -> list[str]:
     p, pi = _closed_forms(g, config["window"], with_pi=config["target"] == "sgns")
     target = _build_target(config, p, pi)
     del p, pi  # the decompositions below need only the target
+    # A target symmetric to rounding becomes the (M + M^T)/2 that the eigh
+    # route factors, so that route makes no copy of it, and the report
+    # describes the matrix factored.
+    symmetrize_in_place(target.values)
     pair = factorize(target, config["dim"], split=config["split"])
     error = reconstruction_error(target, pair)
     spectrum = singular_values(target)

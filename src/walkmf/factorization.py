@@ -13,11 +13,12 @@ are read off the eigenpairs: s = |lambda|, u = q, v = q sign(lambda).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .parallel import write_rows
-from .targets import TargetMatrix, _format_g17
+from .targets import _BLOCK, TargetMatrix, _format_g17
 
 SPLITS = ("symmetric", "left")
 
@@ -73,26 +74,57 @@ def _fix_signs(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, vt
 
 
-def _is_symmetric(mat: np.ndarray) -> bool:
-    """Square and symmetric to rounding: max|M - M^T| <= n eps max|M|."""
+def _symmetry(mat: np.ndarray) -> Optional[str]:
+    """The one symmetry test: "exact" if mat is square and equal to its
+    transpose, "rounding" if it is square and max|M - M^T| <= n eps max|M|,
+    and None otherwise (a non-finite entry included). The asymmetry is taken
+    a block of rows at a time, so no n x n temporary is made."""
     n = mat.shape[0]
     if mat.shape[1] != n:
-        return False
-    tol = n * np.finfo(float).eps * np.abs(mat).max()
-    asymmetry = mat - mat.T
-    np.abs(asymmetry, out=asymmetry)
-    return bool(asymmetry.max() <= tol)
+        return None
+    tol = n * np.finfo(float).eps * max(mat.max(), -mat.min())
+    exact = True
+    step = max(1, _BLOCK // n)
+    for lo in range(0, n, step):
+        block = mat[lo:lo + step] - mat[:, lo:lo + step].T
+        worst = np.abs(block, out=block).max()
+        if not worst <= tol:  # written so that NaN fails too
+            return None
+        exact = exact and worst == 0
+    return "exact" if exact else "rounding"
+
+
+def _symmetrize(mat: np.ndarray) -> None:
+    """Overwrite a square matrix with (M + M^T)/2, a block of rows at a
+    time. Each (i, j) and (j, i) pair is read before either is written, and
+    both get fl(fl(M_ij + M_ji) * 0.5), so the result is exactly symmetric."""
+    n = mat.shape[0]
+    step = max(1, _BLOCK // n)
+    for lo in range(0, n, step):
+        hi = lo + step
+        # Rows and columns before lo are done; none of these entries is.
+        part = mat[lo:hi, lo:] + mat[lo:, lo:hi].T
+        part *= 0.5
+        mat[lo:hi, lo:] = part
+        mat[lo:, lo:hi] = part.T
+
+
+def symmetrize_in_place(mat: np.ndarray) -> None:
+    """Overwrite a float matrix that is symmetric to rounding, but not
+    exactly, with (M + M^T)/2: bit for bit the matrix `truncated_svd` would
+    factor, which it then decomposes without a copy. Any other matrix is
+    left as it is."""
+    if _symmetry(mat) == "rounding":
+        _symmetrize(mat)
 
 
 def _symmetric_triplets(mat: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Top-d singular triplets (u, s, vt) of a symmetric matrix from one eigh
-    of (M + M^T)/2: the eigenpairs ordered by |lambda| descending (a stable
+    """Top-d singular triplets (u, s, vt) of an exactly symmetric matrix from
+    one eigh of it: the eigenpairs ordered by |lambda| descending (a stable
     sort, so ties keep eigh's ascending order), s = |lambda|, u = q and
     v = q sign(lambda), with sign(0) taken as +1."""
-    sym = mat + mat.T
-    sym *= 0.5
     try:
-        lam, q = np.linalg.eigh(sym)
+        lam, q = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"eigendecomposition did not converge: {exc}") from exc
     order = np.argsort(-np.abs(lam), kind="stable")[:d]
@@ -104,7 +136,8 @@ def truncated_svd(m, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top-d singular triplets (u, s, v) of a finite matrix, s descending.
 
     A square matrix symmetric to rounding (max|M - M^T| <= n eps max|M|) is
-    factored as (M + M^T)/2 by one `np.linalg.eigh`; any other matrix by
+    factored as (M + M^T)/2 by one `np.linalg.eigh`, which an exactly
+    symmetric matrix is given as it is; any other matrix by
     `np.linalg.svd`. Columns of u and v are orthonormal; signs are fixed so
     repeated calls give identical output.
     """
@@ -112,7 +145,11 @@ def truncated_svd(m, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     limit = min(mat.shape)
     if not (1 <= d <= limit):
         raise FactorizationError(f"rank d must be in 1..{limit}, got {d}")
-    if _is_symmetric(mat):
+    symmetry = _symmetry(mat)
+    if symmetry == "rounding":
+        mat = mat.copy()
+        _symmetrize(mat)
+    if symmetry:
         u, s, vt = _symmetric_triplets(mat, d)
     else:
         try:

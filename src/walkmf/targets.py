@@ -23,7 +23,7 @@ from .sampling import CooccurrenceCounts
 ZERO_POLICIES = ("floor", "truncate", "mask")
 BIAS_MODES = ("zero", "log2t")
 DEFAULT_EPSILON = 1e-12
-_DENOM_BLOCK = 1 << 16  # entries of the SGNS denominator made at a time
+_BLOCK = 1 << 16  # entries a blockwise loop makes at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,16 +83,21 @@ class ComparisonReport:
 def walk_probability_matrix(g: Graph, window: int,
                             transition: Optional[np.ndarray] = None) -> WalkMatrix:
     """Accumulate (A + A^2 + ... + A^t)/t by iterated multiplication, from
-    `transition` = A = transition_matrix(g) if the caller has built it."""
+    `transition` = A = transition_matrix(g) if the caller has built it.
+
+    Besides A, three n x n arrays are held: the sum, and two powers that
+    take turns as the product's input and its output."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     mat = transition_matrix(g) if transition is None else transition
     acc = mat.copy()
+    buffers = [np.empty_like(acc) for _ in range(min(window - 1, 2))]
     power = mat
-    for _ in range(window - 1):
-        power = power @ mat
+    for step in range(window - 1):
+        power = np.matmul(power, mat, out=buffers[step % 2])
         acc += power
-    return WalkMatrix(probs=acc / window, window=window)
+    acc /= window
+    return WalkMatrix(probs=acc, window=window)
 
 
 def _check_policy(zero_policy: str, epsilon: float) -> None:
@@ -173,7 +178,7 @@ def sgns_target_from_counts(counts: CooccurrenceCounts, k: int = 1,
     # The denominator k #(i) #(j), formed in floats (the int64 product can
     # wrap), is made a block of rows at a time, so raw is the only n x n
     # array built here.
-    rows_per_block = max(1, _DENOM_BLOCK // counts.n)
+    rows_per_block = max(1, _BLOCK // counts.n)
     for lo in range(0, counts.n, rows_per_block):
         rows = slice(lo, lo + rows_per_block)
         denom = k * np.outer(counts.node_counts[rows].astype(float), counts.context_counts)

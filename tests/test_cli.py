@@ -24,7 +24,13 @@ from walkmf import (
     write_counts_sidecar,
 )
 from walkmf.cli import main
-from walkmf.factorization import read_embedding_matrix
+from walkmf.factorization import (
+    factorize,
+    read_embedding_matrix,
+    reconstruction_error,
+    singular_values,
+    write_embedding_matrix,
+)
 from walkmf.sgns import STEPS_PER_EPOCH
 from walkmf.targets import read_matrix_csv, read_vector_csv
 
@@ -353,6 +359,7 @@ MALFORMED_COUNTS = {
     "non_integer": ("counts.csv", _replace_row("2,2,1", "2,2,1.0")),
     "negative_count": ("counts.csv", _replace_row("2,2,1", "2,2,-1")),
     "duplicate_row": ("counts.csv", _replace_row("2,2,1", "2,2,1\r\n2,2,1")),
+    "unsorted_duplicate_row": ("counts.csv", _replace_row("2,2,1", "0,0,1")),
     "bad_header": ("counts.csv", lambda text, meta: (text.replace("v,c,count", "v,c,n"), meta)),
     "node_counts_disagree": ("counts.csv", _edit_sidecar(node_counts=[5, 7, 4])),
     "context_counts_disagree": ("counts.csv", _edit_sidecar(context_counts=[4, 9, 3])),
@@ -461,6 +468,30 @@ class TestEmbed:
                      "-o", str(tmp_path / "out")])
         assert code == 1
         assert "dimension" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("split", ["symmetric", "left"])
+    def test_undirected_target_is_factored_as_its_symmetric_part(self, tmp_path, split):
+        # An undirected graph's SGNS target is symmetric to rounding only.
+        # embed factors (M + M^T)/2 of the target `exact` writes, and its
+        # report describes that matrix.
+        graph = tmp_path / "g.edges"
+        graph.write_text(serialize_edge_list(random_connected_graph(60, 4, extra_edges=90)))
+        args = ["-i", str(graph), "--target", "sgns", "-t", "3"]
+        assert main(["exact", *args, "-o", str(tmp_path / "exact")]) == 0
+        assert main(["embed", *args, "-d", "8", "--split", split,
+                     "-o", str(tmp_path / "embed")]) == 0
+        target = read_matrix_csv(tmp_path / "exact" / "target.csv")
+        assert not np.array_equal(target, target.T)
+        sym = target + target.T
+        sym *= 0.5
+        pair = factorize(sym, 8, split=split)
+        for name, factor in (("w", pair.w), ("h", pair.h)):
+            write_embedding_matrix(factor, tmp_path / f"{name}.txt")
+            assert ((tmp_path / f"{name}.txt").read_bytes()
+                    == (tmp_path / "embed" / f"embeddings_{name}.txt").read_bytes())
+        report = json.loads((tmp_path / "embed" / "reconstruction.json").read_text())
+        assert report["frobenius_error"] == reconstruction_error(sym, pair)
+        assert report["singular_values"] == singular_values(sym).tolist()
 
 
 class TestTrain:

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphgen import path3, random_connected_graph, random_strongly_connected_digraph, triangle
+import walkmf.factorization
 from walkmf import parallel
+from walkmf.factorization import symmetrize_in_place
 from walkmf import (
     EmbeddingPair,
     FactorizationError,
@@ -171,6 +174,49 @@ class TestDecompositionRoute:
         mat[0, 1] = times_tolerance * 9 * np.finfo(float).eps
         truncated_svd(mat, d=2)
         assert decompositions == [route]
+
+
+class TestSymmetricRouteInPlace:
+    def test_exactly_symmetric_matrix_is_decomposed_without_a_copy(self):
+        # eigh's eigenvectors are the one n x n array made; a symmetrized
+        # copy made a second.
+        n = 600
+        mat = _random_matrix(8, n=n, symmetric=True)
+        tracemalloc.start()
+        try:
+            truncated_svd(mat, d=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * n ** 2
+
+    @pytest.mark.parametrize("block", [1 << 16, 7], ids=["one-block", "blocks"])
+    def test_symmetrize_in_place_writes_the_factored_matrix(self, monkeypatch, block):
+        # Blocks of 7 // 40 -> one row each exercise the row-block loops.
+        monkeypatch.setattr(walkmf.factorization, "_BLOCK", block)
+        mat = _random_matrix(7, n=40, symmetric=True)
+        noise = np.random.default_rng(1).uniform(-1, 1, mat.shape)
+        mat += noise * np.finfo(float).eps * np.abs(mat).max()
+        assert not np.array_equal(mat, mat.T)
+        sym = mat + mat.T
+        sym *= 0.5
+        factored = truncated_svd(mat, d=4)
+        symmetrize_in_place(mat)
+        assert mat.tobytes() == sym.tobytes()
+        assert all(np.array_equal(a, b) for a, b in zip(truncated_svd(mat, d=4), factored))
+
+    @pytest.mark.parametrize("block", [1 << 16, 7], ids=["one-block", "blocks"])
+    @pytest.mark.parametrize("mat", [
+        _random_matrix(7, n=40, symmetric=True),  # exactly symmetric already
+        _random_matrix(7, n=40),                  # asymmetric
+        np.arange(12.0).reshape(3, 4),            # not square
+        np.diag([1.0, np.nan, 2.0]),              # non-finite
+    ], ids=["exact", "asymmetric", "rectangular", "nan"])
+    def test_symmetrize_in_place_leaves_other_matrices(self, monkeypatch, block, mat):
+        monkeypatch.setattr(walkmf.factorization, "_BLOCK", block)
+        before = mat.copy()
+        symmetrize_in_place(mat)
+        assert mat.tobytes() == before.tobytes()
 
 
 class TestFactorize:

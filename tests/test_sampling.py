@@ -594,6 +594,21 @@ class TestCountsIO:
             loaded, _ = read_counts_csv(tmp_path / name, tmp_path / "counts.json")
             assert np.array_equal(loaded.dense, counts.dense)
 
+    def test_rows_in_any_order_load(self, tmp_path):
+        # write_counts_csv orders rows by (v, c); a file in another order
+        # loads all the same, and a repeat in it is still found however far
+        # apart its two rows are.
+        counts = CooccurrenceCounts(np.array([[0, 2, 1], [2, 0, 0], [1, 0, 3]]))
+        write_counts_csv(counts, tmp_path / "counts.csv")
+        write_counts_sidecar(counts, tmp_path / "counts.json")
+        header, *rows = (tmp_path / "counts.csv").read_text().splitlines()
+        (tmp_path / "reversed.csv").write_text("\n".join([header, *rows[::-1]]) + "\n")
+        loaded, _ = read_counts_csv(tmp_path / "reversed.csv", tmp_path / "counts.json")
+        assert np.array_equal(loaded.dense, counts.dense)
+        (tmp_path / "repeat.csv").write_text("\n".join([header, *rows[::-1], rows[-1]]) + "\n")
+        with pytest.raises(ValueError, match="repeat.csv: repeated"):
+            read_counts_csv(tmp_path / "repeat.csv", tmp_path / "counts.json")
+
     def test_header_only_file_is_all_zero_counts(self, tmp_path):
         counts = CooccurrenceCounts(np.zeros((3, 3), dtype=np.int64))
         write_counts_csv(counts, tmp_path / "counts.csv")

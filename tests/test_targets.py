@@ -74,6 +74,18 @@ class TestWalkProbabilityMatrix:
         p = walk_probability_matrix(g, window).probs
         assert np.max(np.abs(p - _walk_matrix_oracle(g, window))) < 1e-12
 
+    @pytest.mark.parametrize("window", range(1, 11))
+    def test_same_bits_as_one_product_at_a_time(self, window):
+        # The products go into reused buffers and the sum is divided in
+        # place; each value is still the one a fresh product per step gives.
+        g = random_connected_graph(200, 8, extra_edges=400)
+        a = transition_matrix(g)
+        acc, power = a.copy(), a
+        for _ in range(window - 1):
+            power = power @ a
+            acc = acc + power
+        assert _same_bits(walk_probability_matrix(g, window, a).probs, acc / window)
+
     @settings(deadline=None, max_examples=30)
     @given(st.integers(0, 10**6), st.integers(2, 10), st.integers(1, 10))
     def test_rows_sum_to_one(self, seed, n, window):
@@ -349,7 +361,7 @@ class TestBuildersMatchReferenceBitwise:
     @pytest.mark.parametrize("zero_policy", ["floor", "truncate", "mask"])
     def test_sgns_target_from_counts(self, monkeypatch, zero_policy, block):
         # Blocks of 7 // 40 -> one row each exercise the row-block loop.
-        monkeypatch.setattr(walkmf.targets, "_DENOM_BLOCK", block)
+        monkeypatch.setattr(walkmf.targets, "_BLOCK", block)
         counts = _counts_with_absent_node()
         dense = counts.dense.copy()
         target = sgns_target_from_counts(counts, k=2, zero_policy=zero_policy, epsilon=EPS)
@@ -414,10 +426,20 @@ class TestBuilderWorkingSet:
         target, peak = self._peak(lambda: sgns_target_exact(p, pi, k=5, zero_policy="mask"))
         assert peak <= self._bound(int((~target.mask).sum()))
 
+    @pytest.mark.parametrize("window", [1, 2, 3, 5])
+    def test_walk_probability_matrix(self, window):
+        # Besides A: the sum and up to two powers, which take turns as a
+        # product's input and its output. A fresh array for every product
+        # and for the quotient took one more at windows 1 and 2.
+        g = random_connected_graph(self.N, 2, extra_edges=60)
+        a = transition_matrix(g)
+        _, peak = self._peak(lambda: walk_probability_matrix(g, window, a))
+        assert peak <= min(window, 3) * 8 * self.N ** 2 + 64 * 1024
+
     def test_sgns_target_from_counts(self):
         counts = _counts_with_absent_node(self.N)
         target, peak = self._peak(lambda: sgns_target_from_counts(counts, k=5, zero_policy="mask"))
-        block = 17 * walkmf.targets._DENOM_BLOCK  # int64 product, its float, its mask
+        block = 17 * walkmf.targets._BLOCK  # int64 product, its float, its mask
         assert peak <= self._bound(int((~target.mask).sum()), block)
 
 
