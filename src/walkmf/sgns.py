@@ -8,9 +8,10 @@ The objective is the count-weighted expectation form of SGNS, which
 with x the (v, c) dot product. Each term with #(v,c) > 0 peaks at the
 shifted PMI x* = log(#(v,c) |D| / (k #(v) #(c))), so near the optimum the
 dot products factorize the shifted PMI matrix of the counts. Every term is
-weighted by #(v,c) or k #(v) #(c)/|D|, so the objective, its gradient and
-training run over observed centers x observed contexts only: their cost
-scales with the nodes the counts saw, not with n^2.
+weighted by #(v,c) or k #(v) #(c)/|D|, so the objective, its gradient,
+training, the upper bound and the dot products' comparison with the
+shifted PMI all run over observed centers x observed contexts only: their
+cost scales with the nodes the counts saw, not with n^2.
 
 `train_sgns` maximizes that objective directly, by deterministic
 full-batch Adam on the observed block. It does not replay word2vec's
@@ -83,59 +84,56 @@ def _log_sigmoid(x: np.ndarray) -> np.ndarray:
     return -np.logaddexp(0.0, -x)
 
 
-def _observed(counts: CooccurrenceCounts) -> tuple[np.ndarray, np.ndarray]:
-    """Observed centers and observed contexts. Both weights of a term vanish
-    unless #(v) > 0 and #(c) > 0, so every term that counts lies in this block."""
-    return np.flatnonzero(counts.node_counts), np.flatnonzero(counts.context_counts)
+def _check_covers(counts: CooccurrenceCounts, pair: EmbeddingPair) -> None:
+    if pair.w.shape[0] != counts.n or pair.h.shape[0] != counts.n:
+        raise ValueError(
+            f"embeddings cover {pair.w.shape[0]}/{pair.h.shape[0]} nodes, counts cover {counts.n}"
+        )
 
 
-def _weights(counts: CooccurrenceCounts, negatives: int, v: np.ndarray,
-             c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The weights #(v,c) and k #(v) #(c)/|D| at the index arrays v and c,
-    which broadcast against each other."""
+def _block(counts: CooccurrenceCounts, negatives: int) -> tuple[np.ndarray, ...]:
+    """Observed centers `rows`, observed contexts `cols`, and the weights
+    pos = #(v,c) and neg = k #(v) #(c)/|D| on rows x cols. Both weights of a
+    term vanish unless #(v) > 0 and #(c) > 0, so every term that counts lies
+    in this block; rows and cols are sorted, so the block's nonzero pairs
+    come in row-major order, which is np.nonzero's order on the counts."""
     if counts.total == 0:
         raise ValueError("counts are empty")
-    pos = counts.dense[v, c].astype(float)
+    rows, cols = np.flatnonzero(counts.node_counts), np.flatnonzero(counts.context_counts)
+    pos = counts.dense[rows[:, None], cols].astype(float)
     # In floats: k #(v) #(c) can pass 2^63 where every factor fits in int64.
-    neg = negatives * counts.node_counts[v].astype(float) * counts.context_counts[c] / counts.total
-    return pos, neg
+    neg = negatives * counts.node_counts[rows, None].astype(float) * counts.context_counts[cols]
+    neg /= counts.total
+    return rows, cols, pos, neg
 
 
-def _residual(pos: np.ndarray, weight: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Overwrite x with pos - weight sigma(x), the derivative in x of
-    pos log sigma(x) + neg log sigma(-x) for weight = pos + neg.
+def _block_gradient(pos: np.ndarray, weight: np.ndarray, w: np.ndarray, h: np.ndarray,
+                    x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The objective's gradient at the block embeddings (w, h), with
+    weight = pos + neg. x receives w h^T, then the residual
+    pos - weight sigma(x), the derivative in x of
+    pos log sigma(x) + neg log sigma(-x).
 
     sigma(x) = (1 + tanh(x/2))/2 cannot overflow and costs half as much as
-    exp(log sigma(x)); working in place spares a fresh block-sized array per
-    operation, which the trainer would pay on every step.
+    exp(log sigma(x)); working in place in x spares a fresh block-sized
+    array per operation, which the trainer would pay on every step.
     """
+    np.matmul(w, h.T, out=x)
     x *= 0.5
     np.tanh(x, out=x)
     x += 1.0
     x *= weight
     x *= 0.5
-    return np.subtract(pos, x, out=x)
-
-
-def _nonzero_optimum(counts: CooccurrenceCounts, negatives: int) -> tuple[np.ndarray, ...]:
-    """The nonzero pairs (v, c), their weights, and the dot product at which
-    each pair's term peaks: x* = log(#(v,c) |D| / (k #(v) #(c))), the
-    shifted PMI."""
-    v, c = np.nonzero(counts.dense)
-    pos, neg = _weights(counts, negatives, v, c)
-    return v, c, pos, neg, np.log(pos / neg)
+    np.subtract(pos, x, out=x)
+    return x @ h, x.T @ w
 
 
 def sgns_objective(counts: CooccurrenceCounts, pair: EmbeddingPair, negatives: int) -> float:
     """The module's objective, evaluated exactly (no sampling) over observed
     centers x observed contexts; log sigma(-x) = log sigma(x) - x takes one
     log-sigmoid per term."""
-    if pair.w.shape[0] != counts.n or pair.h.shape[0] != counts.n:
-        raise ValueError(
-            f"embeddings cover {pair.w.shape[0]}/{pair.h.shape[0]} nodes, counts cover {counts.n}"
-        )
-    rows, cols = _observed(counts)
-    pos, neg = _weights(counts, negatives, rows[:, None], cols)
+    _check_covers(counts, pair)
+    rows, cols, pos, neg = _block(counts, negatives)
     return _block_objective(pos + neg, neg, pair.w[rows] @ pair.h[cols].T)
 
 
@@ -147,15 +145,13 @@ def _block_objective(weight: np.ndarray, neg: np.ndarray, x: np.ndarray) -> floa
 def sgns_objective_gradient(counts: CooccurrenceCounts, pair: EmbeddingPair,
                             negatives: int) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient of sgns_objective with respect to (w, h); rows of
-    nodes the counts never observed are zero."""
-    rows, cols = _observed(counts)
-    pos, neg = _weights(counts, negatives, rows[:, None], cols)
-    w, h = pair.w[rows], pair.h[cols]
-    residual = _residual(pos, pos + neg, w @ h.T)
+    nodes the counts never observed are zero. train_sgns steps with it."""
+    _check_covers(counts, pair)
+    rows, cols, pos, neg = _block(counts, negatives)
     grad_w = np.zeros(pair.w.shape)
     grad_h = np.zeros(pair.h.shape)
-    grad_w[rows] = residual @ h
-    grad_h[cols] = residual.T @ w
+    grad_w[rows], grad_h[cols] = _block_gradient(pos, pos + neg, pair.w[rows], pair.h[cols],
+                                                 np.empty(pos.shape))
     return grad_w, grad_h
 
 
@@ -163,10 +159,14 @@ def sgns_objective_upper_bound(counts: CooccurrenceCounts, negatives: int) -> fl
     """Sum of the per-pair scalar maxima; no embedding can do better.
 
     For each pair with a positive count the scalar term peaks at
-    x* = log(#(v,c) |D| / (k #(v) #(c))); zero-count pairs approach 0 from
-    below as x -> -inf, so only the nonzero pairs are visited.
+    x* = log(#(v,c) |D| / (k #(v) #(c))), the shifted PMI; zero-count pairs
+    approach 0 from below as x -> -inf, so only the block's nonzero pairs
+    are visited.
     """
-    _, _, pos, neg, x_star = _nonzero_optimum(counts, negatives)
+    _, _, pos, neg = _block(counts, negatives)
+    hit = pos > 0
+    pos, neg = pos[hit], neg[hit]
+    x_star = np.log(pos / neg)
     return float(np.sum(pos * _log_sigmoid(x_star) + neg * _log_sigmoid(-x_star)))
 
 
@@ -174,13 +174,12 @@ def dot_vs_shifted_pmi(counts: CooccurrenceCounts, pair: EmbeddingPair,
                        negatives: int) -> ComparisonReport:
     """Dot products against the shifted PMI over the nonzero pairs, the
     entries where it is finite; `excluded` counts the other n^2 - compared."""
-    v, c, _, _, x_star = _nonzero_optimum(counts, negatives)
-    # Every nonzero pair lies in the observed block, whose dot products take
-    # at most n^2 floats; gathering two d-vectors per pair can take far more.
-    rows, cols = _observed(counts)
-    block = pair.w[rows] @ pair.h[cols].T
-    dots = block[np.searchsorted(rows, v), np.searchsorted(cols, c)]
-    report = compare_matrices(dots, x_star)
+    _check_covers(counts, pair)
+    rows, cols, pos, neg = _block(counts, negatives)
+    hit = pos > 0
+    x_star = np.log(pos[hit] / neg[hit])
+    del pos, neg  # before the block's dot products, which take as much again
+    report = compare_matrices((pair.w[rows] @ pair.h[cols].T)[hit], x_star)
     return replace(report, excluded=counts.n * counts.n - report.compared)
 
 
@@ -199,7 +198,7 @@ def train_sgns(counts: CooccurrenceCounts, cfg: TrainConfig) -> TrainResult:
     the rows of observed centers and observed contexts carry weight, so
     only they are trained; the others keep their initial values. Each epoch
     runs STEPS_PER_EPOCH steps of Adam (Kingma & Ba, arXiv:1412.6980) on
-    the exact gradient of that block. The step size decays linearly over
+    sgns_objective_gradient's block. The step size decays linearly over
     all steps from cfg.learning_rate to LR_FLOOR_RATIO of it. The exact
     objective is recorded before training, by sgns_objective, and after
     every epoch, from the block being trained. A ValueError names the
@@ -221,8 +220,7 @@ def train_sgns(counts: CooccurrenceCounts, cfg: TrainConfig) -> TrainResult:
 
     log(sgns_objective(counts, pair, k))
 
-    rows, cols = _observed(counts)
-    pos, neg = _weights(counts, k, rows[:, None], cols)
+    rows, cols, pos, neg = _block(counts, k)
     weight = pos + neg
     x = np.empty(weight.shape)  # the block's dot products, then its residual
     block = (w[rows], h[cols])
@@ -231,8 +229,7 @@ def train_sgns(counts: CooccurrenceCounts, cfg: TrainConfig) -> TrainResult:
     total_steps = cfg.epochs * STEPS_PER_EPOCH
     for step in range(total_steps):
         wb, hb = block
-        residual = _residual(pos, weight, np.matmul(wb, hb.T, out=x))
-        grads = (residual @ hb, residual.T @ wb)
+        grads = _block_gradient(pos, weight, wb, hb, x)
         rate = cfg.learning_rate * max(1.0 - step / total_steps, LR_FLOOR_RATIO)
         first_bias = 1.0 - ADAM_BETA1 ** (step + 1)
         second_bias = 1.0 - ADAM_BETA2 ** (step + 1)

@@ -146,7 +146,7 @@ def softmax_target(p: WalkMatrix, bias_mode: str = "zero", zero_policy: str = "f
         raise ValueError(f"bias_mode must be one of {BIAS_MODES}, got {bias_mode!r}")
     _check_policy(zero_policy, epsilon)
     # _log_with_policy writes into raw, so p.probs itself must not be passed.
-    raw = p.probs.copy() if bias_mode == "zero" else 2.0 * p.window * p.probs
+    raw = p.probs.copy() if bias_mode == "zero" else expected_neighbor_counts(p)
     return TargetMatrix(values=_log_with_policy(raw, zero_policy, epsilon), kind="softmax",
                         zero_policy=zero_policy, epsilon=epsilon, bias_mode=bias_mode,
                         window=p.window)

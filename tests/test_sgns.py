@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphgen import random_connected_graph
+from graphgen import random_connected_graph, random_strongly_connected_digraph
 from walkmf import (
     CooccurrenceCounts,
     EmbeddingPair,
@@ -20,6 +21,13 @@ from walkmf import (
     sgns_objective_upper_bound,
     sgns_target_from_counts,
     train_sgns,
+)
+from walkmf.sgns import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
+    LR_FLOOR_RATIO,
+    STEPS_PER_EPOCH,
 )
 
 
@@ -84,9 +92,15 @@ class TestObjective:
         assert sgns_objective_upper_bound(counts, negatives=5) == pytest.approx(expected, rel=1e-12)
 
     def test_dimension_mismatch_rejected(self):
-        pair = EmbeddingPair(w=np.zeros((2, 2)), h=np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="nodes"):
-            sgns_objective(_uniform_k3_counts(), pair, 1)
+        # Every function that takes embeddings refuses, in the same words,
+        # a w or an h with too few rows or too many for the counts.
+        counts = _uniform_k3_counts()
+        for evaluate in (sgns_objective, sgns_objective_gradient, dot_vs_shifted_pmi):
+            for w_rows, h_rows in [(2, 2), (4, 4), (2, 3), (3, 4)]:
+                pair = EmbeddingPair(w=np.zeros((w_rows, 2)), h=np.zeros((h_rows, 2)))
+                message = f"embeddings cover {w_rows}/{h_rows} nodes, counts cover 3"
+                with pytest.raises(ValueError, match=message):
+                    evaluate(counts, pair, 1)
 
 
 class TestObjectiveGradient:
@@ -286,6 +300,41 @@ class TestTrainSgns:
             assert np.array_equal(first.embeddings.h, second.embeddings.h)
             assert first.objective_per_epoch == second.objective_per_epoch
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_steps_with_the_tested_gradient(self, k):
+        # Adam replayed on the whole embedding from sgns_objective_gradient:
+        # the rows the counts never observed get a zero gradient, so they
+        # keep their initial values here as in train_sgns.
+        rng = np.random.default_rng(k)
+        counts, unseen_rows, unseen_cols = _partly_observed_counts(rng, 12)
+        cfg = TrainConfig(dim=3, negatives=k, epochs=2, learning_rate=0.05, seed=4)
+        result = train_sgns(counts, cfg)
+
+        init = np.random.default_rng(cfg.seed)
+        scale = cfg.resolved_init_scale
+        w = init.uniform(-scale, scale, size=(12, 3))
+        h = init.uniform(-scale, scale, size=(12, 3))
+        start_w, start_h = w.copy(), h.copy()
+        first = (np.zeros_like(w), np.zeros_like(h))
+        second = (np.zeros_like(w), np.zeros_like(h))
+        total_steps = cfg.epochs * STEPS_PER_EPOCH
+        for step in range(total_steps):
+            grads = sgns_objective_gradient(counts, EmbeddingPair(w=w, h=h), k)
+            rate = cfg.learning_rate * max(1.0 - step / total_steps, LR_FLOOR_RATIO)
+            for b, g, m, s in zip((w, h), grads, first, second):
+                m *= ADAM_BETA1
+                m += (1.0 - ADAM_BETA1) * g
+                s *= ADAM_BETA2
+                s += (1.0 - ADAM_BETA2) * g * g
+                b += (rate * (m / (1.0 - ADAM_BETA1 ** (step + 1)))
+                      / (np.sqrt(s / (1.0 - ADAM_BETA2 ** (step + 1))) + ADAM_EPSILON))
+
+        assert np.array_equal(result.embeddings.w, w)
+        assert np.array_equal(result.embeddings.h, h)
+        assert np.array_equal(w[unseen_rows], start_w[unseen_rows])
+        assert np.array_equal(h[unseen_cols], start_h[unseen_cols])
+        assert not np.array_equal(w, start_w)
+
     def test_zero_epochs_returns_seeded_initialization(self):
         counts = _uniform_k3_counts()
         cfg = TrainConfig(dim=4, negatives=1, epochs=0, seed=42)
@@ -391,6 +440,45 @@ class TestDotVsShiftedPmi:
         assert report.compared == np.count_nonzero(counts.dense)
         assert report.max_abs == pytest.approx(reference.max_abs, rel=1e-12)
         assert report.mean_abs == pytest.approx(reference.mean_abs, rel=1e-12)
+
+
+def _nonzero_route(counts, pair, k):
+    """The reports as the nonzero pairs of np.nonzero(counts.dense) give
+    them, with each pair's dot product gathered from the observed block."""
+    v, c = np.nonzero(counts.dense)
+    pos = counts.dense[v, c].astype(float)
+    neg = k * counts.node_counts[v].astype(float) * counts.context_counts[c] / counts.total
+    x_star = np.log(pos / neg)
+    bound = float(np.sum(pos * _log_sigmoid(x_star) + neg * _log_sigmoid(-x_star)))
+    rows, cols = np.flatnonzero(counts.node_counts), np.flatnonzero(counts.context_counts)
+    block = pair.w[rows] @ pair.h[cols].T
+    report = compare_matrices(block[np.searchsorted(rows, v), np.searchsorted(cols, c)], x_star)
+    return bound, replace(report, excluded=counts.n ** 2 - report.compared)
+
+
+def _directed_counts(seed):
+    """Asymmetric counts from a short walk on a digraph."""
+    graph = random_strongly_connected_digraph(80, seed)
+    return sample_counts(graph, SamplerConfig(window=2, centers=150, seed=seed))
+
+
+class TestReportsOverTheBlock:
+    @pytest.mark.parametrize("source, seed, k", [
+        ("partly-observed", 0, 1), ("partly-observed", 1, 5),
+        ("directed", 2, 1), ("directed", 3, 5),
+    ])
+    def test_same_bits_as_the_nonzero_route(self, source, seed, k):
+        rng = np.random.default_rng(seed)
+        if source == "partly-observed":
+            counts, _, _ = _partly_observed_counts(rng, 40)
+        else:
+            counts = _directed_counts(seed)
+            assert not counts.is_symmetric()
+            assert 0 < np.count_nonzero(counts.node_counts) < counts.n
+        pair = _random_pair(rng, counts.n, 4)
+        bound, report = _nonzero_route(counts, pair, k)
+        assert sgns_objective_upper_bound(counts, k) == bound
+        assert dot_vs_shifted_pmi(counts, pair, k) == report
 
 
 class TestDotMatrix:
