@@ -11,8 +11,9 @@ early so that it has usually met the walk before its segment begins, then
 Python steps the walk exactly and keeps each guess from the first node where
 the two agree, so the walk is the same as stepping it one position at a time.
 
-Memory is bounded per walk step, not per pair: the walk is int32 (4 bytes
-a step) whenever the node ids fit, its uniforms are drawn into one reused
+Memory is bounded per walk step, not per pair: the walk is held in the
+narrowest unsigned type that holds every node id (1 byte a step up to 256
+nodes, 2 up to 65,536, 4 beyond), its uniforms are drawn into one reused
 buffer of _WALK_CHUNK floats, pairs are counted a block of centers at a
 time, and a process frees each walk it counts before it generates another.
 The workers' counts are summed into one running total as they arrive.
@@ -107,8 +108,10 @@ def default_sampler_config(g: Graph, window: int, centers: int, seed: int = 0,
 class Walk:
     """A realized random walk over node ids, with the seed that produced it.
 
-    generate_walk stores `nodes` as int32 when every id fits (n <= 2**31 - 1)
-    and as int64 otherwise; extract_pairs takes either integer dtype.
+    generate_walk stores `nodes` as np.min_scalar_type(n - 1), the narrowest
+    unsigned type that holds every id: uint8 up to 256 nodes, uint16 up to
+    65,536 and uint32 up to 2**32. extract_pairs takes any integer dtype that
+    widens to int64.
     """
 
     nodes: np.ndarray
@@ -203,8 +206,9 @@ def generate_walk(g: Graph, cfg: SamplerConfig, pi: Optional[np.ndarray] = None)
     Deterministic given cfg.seed. Requires a (strongly) connected graph so
     the walk can never get stuck. Step i takes the i-th uniform u of the
     seeded stream and moves from node v to its out-neighbour number
-    floor(u deg(v)), in sorted order. The walk is int32 when n <= 2**31 - 1
-    and int64 otherwise.
+    floor(u deg(v)), in sorted order. The walk's dtype is
+    np.min_scalar_type(n - 1): 1 byte a step up to 256 nodes, 2 up to
+    65,536 and 4 up to 2**32.
 
     The uniforms come _WALK_CHUNK at a time, each chunk drawn into the same
     buffer, and a long chunk runs in two passes over _SEGMENT-step
@@ -235,7 +239,7 @@ def generate_walk(g: Graph, cfg: SamplerConfig, pi: Optional[np.ndarray] = None)
     # every step. Uniforms become lists a segment at a time: a whole chunk
     # as Python floats would take ~32 bytes per step.
     rule = (g.indptr.tolist(), g.indices.tolist(), g.degrees.tolist())
-    walk = np.empty(length, dtype=np.int32 if g.n <= np.iinfo(np.int32).max else np.int64)
+    walk = np.empty(length, dtype=np.min_scalar_type(g.n - 1))
     walk[0] = cur = start
     buffer = np.empty(min(_WALK_CHUNK, length - 1))
     guessing = True
@@ -333,8 +337,9 @@ def extract_pairs(walk: Walk, window: int, directed: bool, burn_in: int,
     v*n + c take ~16 bytes per block center rather than per walk step, and
     no more than the n*n counts themselves. A block is never smaller than
     n*n because every bincount call also returns n*n counts to add. The
-    codes are int64 whatever the walk's dtype: an int32 walk times n would
-    wrap once n*n > 2**31 under NumPy 1.x.
+    codes are int64 whatever the walk's dtype: a uint16 walk times n would
+    wrap once v*n reaches 2**16, and an int32 one once n*n > 2**31 under
+    NumPy 1.x.
     """
     needed = burn_in + centers + window
     if len(walk) < needed:

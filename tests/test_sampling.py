@@ -130,6 +130,17 @@ class TestGenerateWalk:
             expected.append(cur)
         assert generate_walk(g, cfg).nodes.tolist() == expected
 
+    @pytest.mark.parametrize("n, dtype", [(256, np.uint8), (257, np.uint16)])
+    def test_walk_is_held_in_the_narrowest_id_type(self, n, dtype):
+        # Node 255 is the last one a byte holds; on 257 nodes the walk that
+        # reaches node 256 needs two.
+        g = cycle(n)
+        cfg = SamplerConfig(window=1, centers=600, seed=2, start_mode="fixed", start_node=n - 2)
+        walk = generate_walk(g, cfg)
+        assert walk.nodes.dtype == dtype
+        assert walk.nodes.tolist() == _reference_walk(g, cfg)
+        assert int(walk.nodes.max()) == n - 1
+
     @settings(deadline=None, max_examples=30)
     @given(st.integers(0, 10**6), st.integers(2, 10), st.integers(1, 3))
     def test_every_consecutive_pair_is_an_edge(self, seed, n, window):
@@ -250,11 +261,11 @@ class TestLongWalk:
                 return path
             monkeypatch.setattr(sampling, name, spy)
         walk = generate_walk(self.GRAPH, self.CONFIG)
-        assert walk.nodes.dtype == np.int32
+        assert walk.nodes.dtype == np.min_scalar_type(self.GRAPH.n - 1) == np.uint16
         assert 0 < sum(walked) <= 0.03 * (len(walk) - 1)
 
     def test_sample_memory_is_bounded_per_walk_step(self):
-        # The int32 walk (4 bytes a step) and one chunk of float64 uniforms,
+        # The uint16 walk (2 bytes a step) and one chunk of float64 uniforms,
         # with 4 MiB for everything else. The pair codes of one block (16
         # bytes a center, 4 MiB) are built after the uniforms are freed.
         tracemalloc.start()
@@ -263,7 +274,7 @@ class TestLongWalk:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * self.CONFIG.centers + 8 * sampling._WALK_CHUNK + 4 * 2**20
+        assert peak <= 2 * self.CONFIG.centers + 8 * sampling._WALK_CHUNK + 4 * 2**20
 
     @pytest.mark.parametrize("cores", [1, 2], ids=["in-process", "forked"])
     def test_workers_hold_two_count_matrices(self, monkeypatch, cores):
@@ -280,7 +291,7 @@ class TestLongWalk:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        per_walk = 4 * cfg.centers + 8 * sampling._WALK_CHUNK + 4 * 2**20
+        per_walk = 2 * cfg.centers + 8 * sampling._WALK_CHUNK + 4 * 2**20
         assert peak <= 2 * 8 * g.n ** 2 + per_walk
 
 
@@ -324,7 +335,7 @@ def _reference_pairs(nodes, n, window, directed, burn_in, centers):
 
 class TestExtractPairs:
     @pytest.mark.parametrize("block", [1 << 18, 7], ids=["one-block", "blocks"])
-    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32, np.int64])
     @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
     @pytest.mark.parametrize("window, burn_in", [(1, 0), (4, 11)])
     def test_matches_pair_by_pair_reference(self, monkeypatch, block, dtype, directed,
