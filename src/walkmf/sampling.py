@@ -13,9 +13,11 @@ the two agree, so the walk is the same as stepping it one position at a time.
 
 Memory is bounded per walk step, not per pair: the walk is held in the
 narrowest unsigned type that holds every node id (1 byte a step up to 256
-nodes, 2 up to 65,536, 4 beyond), its uniforms are drawn into one reused
-buffer of _WALK_CHUNK floats, pairs are counted a block of centers at a
-time, and a process frees each walk it counts before it generates another.
+nodes, 2 up to 65,536, 4 beyond), the guesses read one reused buffer of
+_WALK_CHUNK float32 copies of the uniforms (4 bytes a step) while the
+exact pass draws its float64 uniforms a piece at a time, pairs are counted
+a block of centers at a time, and a process frees each walk it counts
+before it generates another.
 The workers' counts are summed into one running total as they arrive.
 
 Counts are accumulated exactly (integer arithmetic throughout) into one
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import Iterable, Optional
@@ -40,18 +43,24 @@ from .parallel import run_jobs, write_rows
 START_MODES = ("stationary", "uniform", "fixed")
 
 DIRECTED_DEFAULT_BURN_IN = 1000
-_WALK_CHUNK = 1 << 20  # walk steps per chunk of uniforms
+_WALK_CHUNK = 1 << 20  # walk steps per guessed chunk
 _SEGMENT = 2048  # walk steps per guessed segment
 # Chunks of fewer segments are walked unguessed: on a 2-core VM, guessing broke
 # even at 18 to 20 segments on 800-node undirected and 300-node directed graphs.
 _MIN_GUESSED_SEGMENTS = 20
-_GUESS_PIECE = 256  # steps converted to lists at a time while a segment seeks its guess
+_GUESS_PIECE = 16  # steps in the first piece a segment walks while it seeks its guess
 # Guess steps whose uniforms and nodes are transposed at a time. On a 2-core
 # VM, a 2M-step walk on a 300-node directed graph guessed equally fast in
 # pieces of 16 to 128 steps, and `sample`'s peak RSS was lowest with 32
 # (0.4 MB below pieces of 64).
 _LOCKSTEP_PIECE = 32
 _PAIR_BLOCK = 1 << 18  # centers whose pair codes are built at a time
+# The largest float32 below 1: a guess uniform rounded up to 1.0 would pick
+# the out-neighbour past its node's last. A Python float, so that importing
+# walkmf calls no NumPy function.
+_BELOW_ONE = 1 - 2**-24
+_DRAW_PIECE = 1 << 14  # float64 uniforms drawn, rounded to float32 and checked at a time
+_UNSURE_BINS = 1 << 16  # bins of [0, 1) that prefilter the unsure float32 uniforms
 # Most pairs a count set may hold: below it every int64 marginal is exact.
 _MAX_TOTAL = 2**62
 
@@ -210,21 +219,29 @@ def generate_walk(g: Graph, cfg: SamplerConfig, pi: Optional[np.ndarray] = None)
     np.min_scalar_type(n - 1): 1 byte a step up to 256 nodes, 2 up to
     65,536 and 4 up to 2**32.
 
-    The uniforms come _WALK_CHUNK at a time, each chunk drawn into the same
-    buffer, and a long chunk runs in two passes over _SEGMENT-step
-    segments. The guess pass steps one walker per segment after the first,
-    all in lockstep, each from the chunk's start node; a walker takes the
-    last quarter of the previous segment's uniforms as a lead-in, then its
-    own segment's, and writes its nodes over its own segment of the walk.
-    The exact pass then steps the walk itself from its true node, segment
-    by segment, and ends a segment at the first position where it lands on
-    the guess: the same node and the same uniforms give the same path from
-    there on. The walk is therefore the one that stepping every position in
-    turn would give, whichever guesses met. When a chunk's exact pass walks
-    more than half its steps, guesses rarely meet on this graph (on a
-    directed cycle, one meets the walk only if its offset is a multiple of
-    the cycle's length), and later chunks are walked without them. Walks
-    shorter than _MIN_GUESSED_SEGMENTS segments are never guessed.
+    The walk runs _WALK_CHUNK steps at a time, and a long chunk in two
+    passes over _SEGMENT-step segments. The guess pass reads float32 copies
+    of the chunk's uniforms, drawn into one reused buffer, after which the
+    generator is rewound to the chunk's start. It steps one walker per
+    segment after the first, all in lockstep, each from the chunk's start
+    node; a walker takes the last quarter of the previous segment's
+    uniforms as a lead-in, then its own segment's, and writes its nodes
+    over its own segment of the walk. The exact pass then draws the float64
+    uniforms again and steps the walk itself from its true node, segment by
+    segment; it ends a segment at the first position where it lands on the
+    guess, since the same node and the same uniforms give the same path
+    from there on, and skips the segment's remaining uniforms with
+    PCG64.advance. A float32 copy can pick another out-neighbour than its
+    original only if it is one of the few values _unsure_uniforms lists;
+    the exact pass takes such a step itself and lands on the guess again
+    before it keeps the rest. The walk is therefore the one that stepping
+    every position in turn would give, whichever guesses met.
+    If the exact pass walks more than half the steps of a chunk's first
+    _MIN_GUESSED_SEGMENTS guessed segments, or of all of them, guesses
+    rarely meet on this graph (on a directed cycle, one meets the walk only
+    if its offset is a multiple of the cycle's length), and the rest of the
+    walk is stepped without them. Walks shorter than _MIN_GUESSED_SEGMENTS
+    segments are never guessed.
 
     A stationary start draws from `pi`, g's stationary_distribution, when
     the caller has solved it already, and otherwise solves it here.
@@ -235,34 +252,101 @@ def generate_walk(g: Graph, cfg: SamplerConfig, pi: Optional[np.ndarray] = None)
 
     length = cfg.burn_in + cfg.centers + cfg.window
     # Python lists keep the exact pass free of NumPy scalar indexing, and
-    # successive rng.random chunks are the same stream as one draw for
+    # successive rng.random draws are the same stream as one draw for
     # every step. Uniforms become lists a segment at a time: a whole chunk
     # as Python floats would take ~32 bytes per step.
     rule = (g.indptr.tolist(), g.indices.tolist(), g.degrees.tolist())
     walk = np.empty(length, dtype=np.min_scalar_type(g.n - 1))
     walk[0] = cur = start
-    buffer = np.empty(min(_WALK_CHUNK, length - 1))
-    guessing = True
+    guessable = min(_WALK_CHUNK, length - 1) // _SEGMENT
+    guessing = guessable >= _MIN_GUESSED_SEGMENTS
+    if guessing:
+        copy = np.empty(guessable * _SEGMENT, dtype=np.float32)
+        unsure = _unsure_uniforms(g)
     for lo in range(1, length, _WALK_CHUNK):
-        uniforms = rng.random(out=buffer[:min(_WALK_CHUNK, length - lo)])
-        chunk = walk[lo:lo + len(uniforms)]
-        segments = len(uniforms) // _SEGMENT
+        chunk = walk[lo:lo + _WALK_CHUNK]
+        segments = len(chunk) // _SEGMENT
         guessed = segments if guessing and segments >= _MIN_GUESSED_SEGMENTS else 0
         if guessed:
-            _guess_segments(g, cur, uniforms[:guessed * _SEGMENT], chunk)
-        exact = 0
-        for a in range(0, len(uniforms), _SEGMENT):
-            b = min(a + _SEGMENT, len(uniforms))
+            uniforms = copy[:guessed * _SEGMENT]
+            cuts = _guess_uniforms(rng, uniforms, *unsure)
+            _guess_segments(g, cur, uniforms, chunk)
+        exact = 0  # steps walked exactly in the guessed segments
+        for a in range(0, len(chunk), _SEGMENT):
+            b = min(a + _SEGMENT, len(chunk))
             if 0 < a < guessed * _SEGMENT:
-                path = _step_to_guess(cur, uniforms[a:b], chunk[a:b], *rule)
+                # A guess that met the walk is kept up to its next unsure step
+                # only; from there the walk must meet the guess again.
+                bounds = [a, *cuts[bisect_left(cuts, a + 1):bisect_left(cuts, b)], b]
+                for p, q in zip(bounds, bounds[1:]):
+                    path = _step_to_guess(cur, rng, chunk[p:q], *rule)
+                    chunk[p:p + len(path)] = path
+                    exact += len(path)
+                    cur = int(chunk[q - 1])
+                if (a // _SEGMENT in (_MIN_GUESSED_SEGMENTS, guessed - 1)
+                        and 2 * exact > b - _SEGMENT):
+                    guessed = 0
+                    guessing = False
             else:
-                path = _step(cur, uniforms[a:b].tolist(), *rule)
-            chunk[a:a + len(path)] = path
-            exact += len(path)
-            cur = int(chunk[b - 1])
-        if guessed and 2 * exact > len(uniforms):
-            guessing = False
+                path = _step(cur, rng.random(b - a).tolist(), *rule)
+                chunk[a:b] = path
+                cur = path[-1]
     return Walk(nodes=walk, n=g.n, seed=cfg.seed)
+
+
+def _unsure_uniforms(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The float32 uniforms from which a step of g may go to another
+    out-neighbour than the float64 uniforms that round to them, sorted, and
+    a table of the _UNSURE_BINS bins of [0, 1) that hold a float64 uniform
+    rounding to any of them.
+
+    Node v takes out-neighbour floor(u deg(v)), and the guess pass forms
+    that product in float64, so a uniform and its float32 copy pick
+    differently only if some k/deg(v) lies between them; a copy lies within
+    half a float32 spacing of its original, and one spacing when clamped to
+    _BELOW_ONE. Every float32 value within two spacings of some k/d, for an
+    out-degree d of g and 1 <= k <= d, is held unsure, a margin that also
+    covers rounding k/d itself: at most 5 values an arc of g. With
+    out-degrees below 10, a few uniforms in a million are unsure."""
+    edges = np.concatenate([np.arange(1, d + 1) / d for d in set(g.degrees.tolist())])
+    # Positive float32 values in order have consecutive bit patterns.
+    bits = edges.astype(np.float32).view(np.int32)
+    unsure = np.sort((bits[:, None] + np.arange(-2, 3, dtype=np.int32)).view(np.float32).ravel())
+    unsure = unsure[unsure < 1]
+    table = np.zeros(_UNSURE_BINS, dtype=bool)
+    for side in (-(2.0**-24), 2.0**-24):
+        bins = ((unsure + side) * _UNSURE_BINS).astype(np.intp)
+        table[bins.clip(0, _UNSURE_BINS - 1)] = True
+    return unsure, table
+
+
+def _guess_uniforms(rng: np.random.Generator, out: np.ndarray, unsure: np.ndarray,
+                    table: np.ndarray) -> list:
+    """Fill out, a float32 array, with the next len(out) uniforms of rng,
+    each below 1, and rewind rng to where it was. Returns the positions of
+    out, in order, whose value is one of the sorted `unsure` ones.
+
+    The float64 uniforms are drawn _DRAW_PIECE at a time, and only those in
+    a bin that `table` marks are looked at again. Rounding to float32 makes
+    a uniform 1.0 only in the top bin, which holds _BELOW_ONE, an unsure
+    value for every graph; there the copy is clamped to _BELOW_ONE."""
+    state = rng.bit_generator.state
+    drawn = np.empty(min(_DRAW_PIECE, len(out)))
+    bins = np.empty(len(drawn), dtype=np.intp)
+    cuts = []
+    for lo in range(0, len(out), _DRAW_PIECE):
+        piece = out[lo:lo + _DRAW_PIECE]
+        uniforms = rng.random(out=drawn[:len(piece)])
+        piece[...] = uniforms
+        np.multiply(uniforms, _UNSURE_BINS, out=bins[:len(piece)], casting="unsafe")
+        binned = np.flatnonzero(table[bins[:len(piece)]])
+        near = piece[binned]
+        near[near == 1] = _BELOW_ONE
+        piece[binned] = near
+        found = np.searchsorted(unsure, near).clip(max=len(unsure) - 1)
+        cuts += (binned[unsure[found] == near] + lo).tolist()
+    rng.bit_generator.state = state
+    return cuts
 
 
 def _step(cur: int, uniforms: list, indptr: list, indices: list, degrees: list) -> list:
@@ -275,20 +359,27 @@ def _step(cur: int, uniforms: list, indptr: list, indices: list, degrees: list) 
     return path
 
 
-def _step_to_guess(cur: int, uniforms: np.ndarray, guesses: np.ndarray, indptr: list,
+def _step_to_guess(cur: int, rng: np.random.Generator, guesses: np.ndarray, indptr: list,
                    indices: list, degrees: list) -> list:
-    """As _step, but the path ends at the first node equal to its guess.
+    """As _step, one uniform of rng a step, but the path ends at the first
+    node equal to its guess. rng moves on by len(guesses) uniforms all the
+    same: those the path does not walk with are skipped.
 
-    Most paths meet their guess early, so the arrays are converted to lists
-    _GUESS_PIECE entries at a time rather than whole."""
+    Most paths meet their guess within a few steps, so uniforms are drawn
+    and guesses converted to lists in pieces, the first _GUESS_PIECE long
+    and each one after twice the one before."""
     path = []
-    for lo in range(0, len(uniforms), _GUESS_PIECE):
-        hi = lo + _GUESS_PIECE
-        for u, guess in zip(uniforms[lo:hi].tolist(), guesses[lo:hi].tolist()):
+    lo, size = 0, _GUESS_PIECE
+    while lo < len(guesses):
+        hi = min(lo + size, len(guesses))
+        for u, guess in zip(rng.random(hi - lo).tolist(), guesses[lo:hi].tolist()):
             cur = indices[indptr[cur] + int(u * degrees[cur])]
             path.append(cur)
             if cur == guess:
+                # default_rng is PCG64, and random() takes one 64-bit output a float.
+                rng.bit_generator.advance(len(guesses) - hi)
                 return path
+        lo, size = hi, 2 * size
     return path
 
 
@@ -299,7 +390,10 @@ def _guess_segments(g: Graph, start: int, uniforms: np.ndarray, out: np.ndarray)
     uniforms; only the segment's own nodes are written. The walkers step
     together, one NumPy gather per step, by the rule generate_walk's exact
     pass uses. Walks that share uniforms tend to merge, so the lead-in lets
-    most guesses meet the walk before their segment begins.
+    most guesses meet the walk before their segment begins. The uniforms
+    may be float32, below 1: they are widened to float64 as they are read,
+    so a step's product with its degree is exact and below the degree, and
+    every step is an arc.
 
     A step's uniforms are a column of the segments, so they are read
     through transposed copies of _LOCKSTEP_PIECE steps, and the nodes are
@@ -315,11 +409,11 @@ def _guess_segments(g: Graph, start: int, uniforms: np.ndarray, out: np.ndarray)
         return indices[starts[cur] + (us * degrees[cur]).astype(np.int64)]
 
     for lo in range(_SEGMENT - _SEGMENT // 4, _SEGMENT, _LOCKSTEP_PIECE):
-        for us in rows[:-1, lo:lo + _LOCKSTEP_PIECE].T.copy():
+        for us in rows[:-1, lo:lo + _LOCKSTEP_PIECE].T.astype(float, order="C"):
             cur = step(cur, us)
     for lo in range(0, _SEGMENT, _LOCKSTEP_PIECE):
         width = min(_LOCKSTEP_PIECE, _SEGMENT - lo)
-        for k, us in enumerate(rows[1:, lo:lo + width].T.copy()):
+        for k, us in enumerate(rows[1:, lo:lo + width].T.astype(float, order="C")):
             cur = piece[k] = step(cur, us)
         guesses[:, lo:lo + width] = piece[:width].T
 

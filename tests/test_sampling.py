@@ -4,7 +4,8 @@ import io
 import os
 import pickle
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from graphgen import (
 )
 from walkmf import (
     CooccurrenceCounts,
+    Graph,
     SamplerConfig,
     Walk,
     default_sampler_config,
@@ -154,7 +156,8 @@ class TestGenerateWalk:
 
 def _reference_walk(g, cfg):
     """One uniform per step from the seeded stream, each picking among the
-    sorted out-neighbours taken from the edge list; fixed start only."""
+    sorted out-neighbours taken from the edge list, after the start node is
+    drawn from the same stream."""
     neighbours = [[] for _ in range(g.n)]
     for u, v in g.edges:
         neighbours[u].append(v)
@@ -162,7 +165,12 @@ def _reference_walk(g, cfg):
             neighbours[v].append(u)
     neighbours = [sorted(row) for row in neighbours]
     rng = np.random.default_rng(cfg.seed)
-    cur = cfg.start_node
+    if cfg.start_mode == "fixed":
+        cur = cfg.start_node
+    elif cfg.start_mode == "uniform":
+        cur = int(rng.integers(g.n))
+    else:
+        cur = int(rng.choice(g.n, p=stationary_distribution(g)))
     expected = [cur]
     for _ in range(cfg.burn_in + cfg.centers + cfg.window - 1):
         row = neighbours[cur]
@@ -209,15 +217,25 @@ class TestGuessedWalk:
 
     @pytest.mark.parametrize("g", [cycle(7, directed=True), cycle(40)],
                              ids=["directed-cycle", "even-cycle"])
-    def test_guesses_that_rarely_meet_stop_after_one_chunk(self, small_chunks, g):
+    def test_guesses_that_rarely_meet_stop_after_one_chunk(self, small_chunks, monkeypatch, g):
         # A directed cycle's guess meets the walk only where the segment
         # offset is a multiple of n; on a cycle both walkers take the same
         # direction from the same uniform except at the wrap-around, so
-        # guesses rarely close the gap.
+        # guesses rarely close the gap. The exact pass stops comparing after
+        # the chunk's first _MIN_GUESSED_SEGMENTS guessed segments.
+        compared = []
+        seek = sampling._step_to_guess
+
+        def spy(cur, rng, guesses, *rule):
+            compared.append(len(guesses))
+            return seek(cur, rng, guesses, *rule)
+
+        monkeypatch.setattr(sampling, "_step_to_guess", spy)
         cfg = SamplerConfig(window=3, centers=self.STEPS - 2, seed=17,
                             start_mode="fixed", start_node=2)
         assert generate_walk(g, cfg).nodes.tolist() == _reference_walk(g, cfg)
         assert small_chunks == [2]
+        assert sum(compared) == sampling._MIN_GUESSED_SEGMENTS * sampling._SEGMENT
 
     @pytest.mark.parametrize("g", [random_connected_graph(12, seed=5, extra_edges=10),
                                    random_strongly_connected_digraph(12, seed=3, extra_edges=40)],
@@ -240,6 +258,86 @@ class TestGuessedWalk:
         g = random_connected_graph(12, seed=5, extra_edges=10)
         assert generate_walk(g, cfg).nodes.tolist() == _reference_walk(g, cfg)
         assert small_chunks == guessed
+
+
+class _Constant:
+    """A stand-in generator whose every uniform is u."""
+
+    def __init__(self, u):
+        self.u = u
+        self.bit_generator = SimpleNamespace(state=None)
+
+    def random(self, out):
+        out.fill(self.u)
+        return out
+
+
+def _wheel(n):
+    """Directed hub 0 -> 1..n-1, each i -> 0 and i -> i % (n - 1) + 1: the
+    hub's out-degree n - 1 puts its steps' edges k/(n - 1) close together."""
+    arcs = ([(0, i) for i in range(1, n)] + [(i, 0) for i in range(1, n)]
+            + [(i, i % (n - 1) + 1) for i in range(1, n)])
+    return Graph(n=n, edges=tuple(arcs), directed=True)
+
+
+class TestFloat32Guesses:
+    def test_a_copy_rounded_to_one_is_clamped_onto_the_last_arc(self):
+        # 1 - 2^-26 rounds to 1.0 in float32, which would step past a
+        # node's last out-neighbour.
+        g = random_strongly_connected_digraph(30, seed=3, extra_edges=60)
+        size = 4 * sampling._SEGMENT
+        copy = np.empty(size, dtype=np.float32)
+        cuts = sampling._guess_uniforms(_Constant(1 - 2.0**-26), copy,
+                                        *sampling._unsure_uniforms(g))
+        assert copy.max() < 1
+        # Every copy lies next to the edge at 1, so every step is unsure.
+        assert cuts == list(range(size))
+        out = np.zeros(size, dtype=np.min_scalar_type(g.n - 1))
+        sampling._guess_segments(g, 0, copy, out)
+        # Every guessed step is an arc: the last one out of its node.
+        steps = out[sampling._SEGMENT:].reshape(-1, sampling._SEGMENT)
+        for row in steps.tolist():
+            assert all(v == g.indices[g.indptr[u + 1] - 1] for u, v in zip(row, row[1:]))
+
+    @pytest.mark.parametrize("d", [2, 3, 7, 10, 999, 4999, 2**20 + 1])
+    def test_every_copy_that_steps_elsewhere_is_unsure(self, d):
+        # Uniforms within a few float32 spacings of the edges k/d of a
+        # degree-d node: wherever the float32 copy, clamped below 1, picks
+        # another out-neighbour than the float64 uniform, the copy is unsure.
+        ks = np.unique(np.linspace(1, d, num=min(d, 200)).astype(np.int64))
+        offsets = np.arange(-300, 301) * 2.0**-30
+        u = (ks[:, None] / d + offsets).ravel()
+        u = np.concatenate([u, np.nextafter(u, 0), np.nextafter(u, 1)])
+        u = u[(u >= 0) & (u < 1)]
+        copy = np.minimum(u.astype(np.float32), sampling._BELOW_ONE)
+        # The guess pass multiplies in float64, as the exact pass does.
+        elsewhere = np.floor(copy.astype(np.float64) * d) != np.floor(u * d)
+        assert elsewhere.any()
+        unsure, table = sampling._unsure_uniforms(SimpleNamespace(degrees=np.array([d])))
+        assert np.isin(copy[elsewhere], unsure).all()
+        # The scan finds them through the bins of the float64 uniforms.
+        assert table[(u[elsewhere] * sampling._UNSURE_BINS).astype(np.intp)].all()
+
+    def test_unsure_steps_are_walked_exactly(self):
+        # At the hub of out-degree 19,999 one float32 copy in ~200 is unsure,
+        # so a met guess that were kept past one would often leave the walk.
+        g = _wheel(20_000)
+        cfg = SamplerConfig(window=1, centers=60_000, seed=1, start_mode="fixed", start_node=0)
+        assert generate_walk(g, cfg).nodes.tolist() == _reference_walk(g, cfg)
+
+    @pytest.mark.parametrize("start_mode", ["uniform", "stationary"])
+    @pytest.mark.parametrize("g", [cycle(301, directed=True),
+                                   random_strongly_connected_digraph(300, seed=21,
+                                                                     extra_edges=900)],
+                             ids=["directed-cycle", "digraph"])
+    def test_chunks_match_one_step_at_a_time_reference(self, monkeypatch, g, start_mode):
+        # Chunks of 24 segments and 7 steps, with the burn-in past the first
+        # one: on the cycle the walk stops guessing within the first chunk,
+        # and on the digraph most uniforms of every chunk are skipped.
+        monkeypatch.setattr(sampling, "_WALK_CHUNK", 24 * sampling._SEGMENT + 7)
+        cfg = SamplerConfig(window=3, centers=100_000, seed=5, start_mode=start_mode,
+                            burn_in=60_000)
+        assert generate_walk(g, cfg).nodes.tolist() == _reference_walk(g, cfg)
 
 
 class TestLongWalk:
@@ -265,7 +363,7 @@ class TestLongWalk:
         assert 0 < sum(walked) <= 0.03 * (len(walk) - 1)
 
     def test_sample_memory_is_bounded_per_walk_step(self):
-        # The uint16 walk (2 bytes a step) and one chunk of float64 uniforms,
+        # The uint16 walk (2 bytes a step) and one chunk of float32 uniforms,
         # with 4 MiB for everything else. The pair codes of one block (16
         # bytes a center, 4 MiB) are built after the uniforms are freed.
         tracemalloc.start()
@@ -274,7 +372,23 @@ class TestLongWalk:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * self.CONFIG.centers + 8 * sampling._WALK_CHUNK + 4 * 2**20
+        assert peak <= 2 * self.CONFIG.centers + 4 * sampling._WALK_CHUNK + 4 * 2**20
+
+    def test_workers_in_one_process_hold_one_walk_at_a_time(self, monkeypatch):
+        # Two workers of 2^21 centers each, walked one after the other in
+        # this process: one uint16 walk, one chunk of float32 uniforms and
+        # two count matrices, with 4 MiB for everything else. Holding both
+        # walks, or one walk of 4 bytes a step, would pass the bound.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        cfg = replace(self.CONFIG, centers=2 * self.CONFIG.centers, workers=2)
+        tracemalloc.start()
+        try:
+            sample_counts(self.GRAPH, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_walk = 2 * self.CONFIG.centers + 4 * sampling._WALK_CHUNK + 4 * 2**20
+        assert peak <= 2 * 8 * self.GRAPH.n ** 2 + per_walk
 
     @pytest.mark.parametrize("cores", [1, 2], ids=["in-process", "forked"])
     def test_workers_hold_two_count_matrices(self, monkeypatch, cores):
