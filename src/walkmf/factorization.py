@@ -7,7 +7,9 @@ Frobenius approximation of the target.
 A square target that is symmetric to rounding, as the SGNS target of every
 undirected graph is (pi_i P_ij is symmetric there), is decomposed with one
 symmetric eigendecomposition instead of a full SVD. Its singular triplets
-are read off the eigenpairs: s = |lambda|, u = q, v = q sign(lambda).
+are read off the eigenpairs: s = |lambda|, u = q, v = q sign(lambda). Its
+full spectrum, as `singular_values` reports it, is |lambda| from the
+eigenvalue-only symmetric driver, not a second full SVD.
 """
 
 from __future__ import annotations
@@ -118,6 +120,17 @@ def symmetrize_in_place(mat: np.ndarray) -> None:
         _symmetrize(mat)
 
 
+def _to_decompose(mat: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The matrix to decompose in place of a finite mat, and whether it is
+    symmetric: mat itself if it is exactly symmetric or not symmetric at
+    all, a (M + M^T)/2 copy if it is symmetric to rounding."""
+    symmetry = _symmetry(mat)
+    if symmetry == "rounding":
+        mat = mat.copy()
+        _symmetrize(mat)
+    return mat, symmetry is not None
+
+
 def _symmetric_triplets(mat: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top-d singular triplets (u, s, vt) of an exactly symmetric matrix from
     one eigh of it: the eigenpairs ordered by |lambda| descending (a stable
@@ -145,11 +158,8 @@ def truncated_svd(m, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     limit = min(mat.shape)
     if not (1 <= d <= limit):
         raise FactorizationError(f"rank d must be in 1..{limit}, got {d}")
-    symmetry = _symmetry(mat)
-    if symmetry == "rounding":
-        mat = mat.copy()
-        _symmetrize(mat)
-    if symmetry:
+    mat, symmetric = _to_decompose(mat)
+    if symmetric:
         u, s, vt = _symmetric_triplets(mat, d)
     else:
         try:
@@ -185,8 +195,13 @@ def reconstruction_error(m, pair: EmbeddingPair) -> float:
 
 
 def singular_values(m) -> np.ndarray:
-    """Full singular spectrum (used for tail-energy reports)."""
-    return np.linalg.svd(_decomposable(m), compute_uv=False)
+    """Full singular spectrum, descending (used for tail-energy reports), of
+    the matrix `truncated_svd` factors. A symmetric one's is the sorted
+    |lambda| of `np.linalg.svd(..., hermitian=True)`: LAPACK's symmetric
+    eigenvalue driver, with no vectors. Any other matrix's comes from the
+    general SVD."""
+    mat, symmetric = _to_decompose(_decomposable(m))
+    return np.linalg.svd(mat, compute_uv=False, hermitian=symmetric)
 
 
 def write_embedding_matrix(mat: np.ndarray, path) -> None:

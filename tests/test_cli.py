@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import walkmf.cli
 import walkmf.graphs
 import walkmf.targets
-from graphgen import geometric_chain, random_connected_graph
+from graphgen import geometric_chain, random_connected_graph, random_strongly_connected_digraph
 from walkmf import (
     CooccurrenceCounts,
     TrainConfig,
@@ -492,6 +492,32 @@ class TestEmbed:
         report = json.loads((tmp_path / "embed" / "reconstruction.json").read_text())
         assert report["frobenius_error"] == reconstruction_error(sym, pair)
         assert report["singular_values"] == singular_values(sym).tolist()
+
+    @pytest.mark.parametrize("make, argv, symmetric", [
+        (random_connected_graph, ["--target", "sgns"], True),
+        (random_connected_graph, ["--target", "softmax"], False),
+        (random_strongly_connected_digraph, ["--target", "sgns", "--directed"], False),
+    ], ids=["undirected-sgns", "softmax", "directed-sgns"])
+    def test_spectrum_of_a_symmetric_target_takes_one_hermitian_call(
+            self, tmp_path, monkeypatch, make, argv, symmetric):
+        # A symmetric target's spectrum comes from the eigenvalue-only
+        # driver; a fallback to the general SVD would show in no output.
+        graph = tmp_path / "g.edges"
+        graph.write_text(serialize_edge_list(make(12, 3, extra_edges=12)))
+        hermitian = []
+        original = np.linalg.svd
+
+        def recorded(*args, **kwargs):
+            hermitian.append(kwargs.get("hermitian", False))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        assert main(["embed", "-i", str(graph), "-t", "2", "-d", "2", *argv,
+                     "-o", str(tmp_path / "out")]) == 0
+        if symmetric:
+            assert hermitian == [True]
+        else:
+            assert hermitian and True not in hermitian
 
 
 class TestTrain:

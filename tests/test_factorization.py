@@ -292,10 +292,51 @@ class TestReconstructionError:
         assert mat.tobytes() == before.tobytes()
 
 
+def _even_cycle_adjacency(n=8):
+    # Eigenvalues 2 cos(2 pi k / n): +-lambda pairs, repeats and zeros.
+    eye = np.eye(n)
+    return np.roll(eye, 1, axis=1) + np.roll(eye, -1, axis=1)
+
+
+def _undirected_sgns_target():
+    g = random_connected_graph(30, seed=5, extra_edges=40)
+    return sgns_target_exact(walk_probability_matrix(g, 3), stationary_distribution(g), k=1).values
+
+
 class TestSingularValues:
     def test_full_spectrum(self):
         mat = np.diag([3.0, 2.0, 1.0])
         assert np.allclose(singular_values(mat), [3.0, 2.0, 1.0], atol=1e-12)
+
+    @pytest.mark.parametrize("make", [_even_cycle_adjacency, _undirected_sgns_target],
+                             ids=["even-cycle", "undirected-sgns"])
+    def test_symmetric_indefinite_matches_general_svd(self, make):
+        mat = make()
+        want = np.linalg.svd(mat, compute_uv=False)
+        assert np.linalg.eigvalsh((mat + mat.T) / 2).min() < 0  # indefinite
+        got = singular_values(mat)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * want[0]
+        assert np.all(np.diff(got) <= 0)
+        assert np.all(got >= 0)
+
+    def test_symmetric_to_rounding_is_the_spectrum_of_the_symmetric_part(self):
+        mat = _undirected_sgns_target()
+        assert not np.array_equal(mat, mat.T)
+        before = mat.tobytes()
+        sym = mat + mat.T
+        sym *= 0.5
+        got = singular_values(mat)
+        assert mat.tobytes() == before
+        assert np.array_equal(got, np.linalg.svd(sym, compute_uv=False, hermitian=True))
+
+    @pytest.mark.parametrize("mat", [
+        _random_matrix(3, n=9),
+        np.random.default_rng(4).normal(size=(7, 4)),
+        np.random.default_rng(4).normal(size=(4, 7)),
+    ], ids=["square", "tall", "wide"])
+    def test_non_symmetric_is_the_general_svd_bit_for_bit(self, mat):
+        assert np.array_equal(singular_values(mat), np.linalg.svd(mat, compute_uv=False))
 
 
 class TestEmbeddingIO:
