@@ -78,6 +78,10 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 
 DEFAULT_WINDOW = 5
+# The largest --window, far above DeepWalk's t = 10. The walk matrix takes
+# t - 1 n x n products and pair extraction one pass over the centers per
+# offset, so without a bound a window could keep a command running forever.
+MAX_WINDOW = 1000
 DEFAULT_NEGATIVES = 5
 DEFAULT_DIM = 64
 TARGET_KINDS = ("softmax", "sgns")
@@ -102,6 +106,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def _window(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_WINDOW:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_WINDOW}, got {text}")
     return value
 
 
@@ -325,7 +336,8 @@ def _with_help(option, text: str):
 _INPUT = (("--input", "-i"), "input", {"type": Path, "required": True, "help": "edge-list file"})
 _DIRECTED = (("--directed",), "directed",
              {"action": "store_true", "help": "treat edges as directed"})
-_WINDOW = (("--window", "-t"), "window", {"type": _positive_int, "default": DEFAULT_WINDOW})
+_WINDOW = (("--window", "-t"), "window", {"type": _window, "default": DEFAULT_WINDOW,
+                                          "help": f"window size t, 1 to {MAX_WINDOW}"})
 _NEGATIVES = (("--negative", "-k"), "negatives",
               {"type": _positive_int, "default": DEFAULT_NEGATIVES, "metavar": "NEGATIVE"})
 _DIM = (("--dim", "-d"), "dim", {"type": _positive_int, "default": DEFAULT_DIM})

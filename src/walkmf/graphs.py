@@ -12,8 +12,6 @@ from typing import Iterable, Optional, TextIO, Union
 
 import numpy as np
 
-PROB_TOL = 1e-12  # row sums / vector sums must match 1 within this
-
 
 class EdgeListError(ValueError):
     """Malformed edge list: bad line, self-loop, or duplicate edge."""
@@ -150,16 +148,6 @@ def transition_matrix(g: Graph) -> np.ndarray:
     rows = np.repeat(np.arange(g.n), deg)
     mat[rows, g.indices] = 1.0 / deg[rows]
     return mat
-
-
-def is_row_stochastic(mat: np.ndarray, tol: float = PROB_TOL) -> bool:
-    if mat.ndim != 2 or np.any(mat < -tol) or np.any(mat > 1 + tol):
-        return False
-    return bool(np.all(np.abs(mat.sum(axis=1) - 1.0) < tol))
-
-
-def is_probability_vector(vec: np.ndarray, tol: float = PROB_TOL) -> bool:
-    return vec.ndim == 1 and bool(np.all(vec >= -tol)) and abs(float(vec.sum()) - 1.0) < tol
 
 
 def _count_components(g: Graph) -> int:

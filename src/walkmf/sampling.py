@@ -427,13 +427,15 @@ def extract_pairs(walk: Walk, window: int, directed: bool, burn_in: int,
     pair, so the count map is exactly symmetric and the total is
     2 * window * centers (window * centers when directed).
 
-    Centers are taken max(_PAIR_BLOCK, n*n) at a time, so the pair codes
-    v*n + c take ~16 bytes per block center rather than per walk step, and
-    no more than the n*n counts themselves. A block is never smaller than
-    n*n because every bincount call also returns n*n counts to add. The
-    codes are int64 whatever the walk's dtype: a uint16 walk times n would
-    wrap once v*n reaches 2**16, and an int32 one once n*n > 2**31 under
-    NumPy 1.x.
+    Centers are taken max(_PAIR_BLOCK, n*n) at a time, and one int64 buffer
+    holds a block's pair codes v*n + c for one offset at a time: each offset
+    adds its contexts to the centers' v*n, counts the codes and takes the
+    contexts off again. So the codes take ~8 bytes per block center rather
+    than per walk step, and no more than the n*n counts themselves. A block
+    is never smaller than n*n because every bincount call also returns n*n
+    counts to add. The codes are int64 whatever the walk's dtype: a uint16
+    walk times n would wrap once v*n reaches 2**16, and an int32 one once
+    n*n > 2**31 under NumPy 1.x.
     """
     needed = burn_in + centers + window
     if len(walk) < needed:
@@ -443,13 +445,19 @@ def extract_pairs(walk: Walk, window: int, directed: bool, burn_in: int,
     forward = np.zeros(n * n, dtype=np.int64)
     end = burn_in + centers
     block = max(_PAIR_BLOCK, n * n)
+    codes = np.empty(min(block, centers), dtype=np.int64)
     for lo in range(burn_in, end, block):
-        hi = min(lo + block, end)
-        rows = nodes[lo:hi].astype(np.int64)
-        rows *= n
+        codes = codes[:end - lo]
+        hi = lo + len(codes)
+        codes[...] = nodes[lo:hi]
+        codes *= n
         for offset in range(1, window + 1):
-            forward += np.bincount(rows + nodes[lo + offset:hi + offset], minlength=n * n)
+            contexts = nodes[lo + offset:hi + offset]
+            codes += contexts
+            forward += np.bincount(codes, minlength=n * n)
+            codes -= contexts
     mat = forward.reshape(n, n)
+    del codes, forward  # mat alone holds the forward counts, so mat + mat.T frees them
     if not directed:
         mat = mat + mat.T
     return CooccurrenceCounts(mat)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -735,6 +736,7 @@ class TestManifests:
         ("train", "learning_rate", "0.1",
          "config 'learning_rate' is '0.1', but its flag reads it as 0.1"),
         ("exact", "window", 0, _with_flags("-t", "0")),
+        ("exact", "window", 10**20 - 1, _with_flags("-t", "99999999999999999999")),
         ("sample", "length", 0, _with_flags("-L", "0")),
         ("sample", "workers", 0, _with_flags("--workers", "0")),
         ("sample", "burn_in", -1, _with_flags("--burn-in", "-1")),
@@ -749,7 +751,7 @@ class TestManifests:
         ("exact", "target", "--help", _with_flags("--target=--help")),
     ], ids=["str-window", "bool-window", "int-directed", "unknown-target", "null-input",
             "unknown-key", "float-start-node", "str-learning-rate", "zero-window",
-            "zero-length", "zero-workers", "negative-burn-in", "negative-epochs",
+            "huge-window", "zero-length", "zero-workers", "negative-burn-in", "negative-epochs",
             "epsilon-above-one", "epsilon-one", "zero-learning-rate", "negative-init-scale",
             "infinite-init-scale", "help-as-target"])
     def test_rerun_ill_typed_config_exits_2(self, tmp_path, capsys, path_graph_file,
@@ -978,6 +980,7 @@ class TestRecordedConfig:
     # Text each option type parses; a drawn None leaves an optional flag out.
     _FLAG_TEXT = {
         walkmf.cli._positive_int: st.integers(1, 10**9).map(str),
+        walkmf.cli._window: st.integers(1, walkmf.cli.MAX_WINDOW).map(str),
         walkmf.cli._nonnegative_int: st.integers(0, 10**9).map(str),
         walkmf.cli._positive_float: st.one_of(
             st.floats(0, exclude_min=True, allow_infinity=False).map(repr),
@@ -1109,6 +1112,24 @@ class TestUsageErrors:
         assert code == 1
         assert f"argument --epsilon: must be in (0, 1), got {epsilon}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_window_past_its_maximum_is_usage_error(self, tmp_path, path_graph_file, capsys):
+        # Unbounded, this window would have exact make 10^20 walk-matrix products.
+        out = tmp_path / "out"
+        started = time.perf_counter()
+        code = main(["exact", "-i", str(path_graph_file), "-t", "99999999999999999999",
+                     "-o", str(out)])
+        assert time.perf_counter() - started < 1
+        assert code == 1
+        assert capsys.readouterr().err.endswith(
+            "walkmf exact: error: argument --window/-t: must be at most 1000, "
+            "got 99999999999999999999\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags", [("exact", []), ("sample", ["-L", "300"])])
+    def test_the_largest_window_runs(self, tmp_path, path_graph_file, command, flags):
+        assert main([command, "-i", str(path_graph_file), "-t", str(walkmf.cli.MAX_WINDOW),
+                     *flags, "-o", str(tmp_path / "out")]) == 0
 
 
     @pytest.mark.parametrize("argv, stderr", [

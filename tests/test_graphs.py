@@ -25,7 +25,18 @@ from walkmf import (
     stationary_distribution,
     transition_matrix,
 )
-from walkmf.graphs import is_probability_vector, is_row_stochastic
+
+PROB_TOL = 1e-12  # row sums / vector sums must match 1 within this
+
+
+def is_row_stochastic(mat: np.ndarray, tol: float = PROB_TOL) -> bool:
+    if mat.ndim != 2 or np.any(mat < -tol) or np.any(mat > 1 + tol):
+        return False
+    return bool(np.all(np.abs(mat.sum(axis=1) - 1.0) < tol))
+
+
+def is_probability_vector(vec: np.ndarray, tol: float = PROB_TOL) -> bool:
+    return vec.ndim == 1 and bool(np.all(vec >= -tol)) and abs(float(vec.sum()) - 1.0) < tol
 
 
 class TestParseEdgeList:

@@ -364,8 +364,8 @@ class TestLongWalk:
 
     def test_sample_memory_is_bounded_per_walk_step(self):
         # The uint16 walk (2 bytes a step) and one chunk of float32 uniforms,
-        # with 4 MiB for everything else. The pair codes of one block (16
-        # bytes a center, 4 MiB) are built after the uniforms are freed.
+        # with 4 MiB for everything else. The pair codes of one block (8
+        # bytes a center, 2 MiB) are built after the uniforms are freed.
         tracemalloc.start()
         try:
             sample_counts(self.GRAPH, self.CONFIG)
@@ -391,9 +391,13 @@ class TestLongWalk:
         assert peak <= 2 * 8 * self.GRAPH.n ** 2 + per_walk
 
     @pytest.mark.parametrize("cores", [1, 2], ids=["in-process", "forked"])
-    def test_workers_hold_two_count_matrices(self, monkeypatch, cores):
-        # Four workers on n = 1000 (7.6 MiB a count matrix): the running
-        # total and one worker's counts, besides the per-walk bound above.
+    def test_workers_hold_three_count_matrices(self, monkeypatch, cores):
+        # Four workers on n = 1000 (7.6 MiB a count matrix). At the peak this
+        # process holds the running total while it counts a worker's walk:
+        # the walk's forward counts and one np.bincount result, or the
+        # forward counts and their sum with the transpose. Besides them: one
+        # walk (2 bytes a step, too short to be guessed) and one block of
+        # pair codes (8 bytes a center), with 256 KiB for everything else.
         # Keeping every worker's counts until all are done would take five.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
                             raising=False)
@@ -405,8 +409,8 @@ class TestLongWalk:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        per_walk = 2 * cfg.centers + 8 * sampling._WALK_CHUNK + 4 * 2**20
-        assert peak <= 2 * 8 * g.n ** 2 + per_walk
+        per_walk = (2 + 8) * (cfg.centers // cfg.workers + cfg.window)
+        assert peak <= 3 * 8 * g.n ** 2 + per_walk + 2**18
 
 
 class TestStationaryStart:
@@ -487,6 +491,32 @@ class TestExtractPairs:
         counts = extract_pairs(walk, window=1, directed=True, burn_in=2, centers=2)
         # centers are positions 2 and 3: pairs (0,1) and (1,0)
         assert counts.dense.tolist() == [[0, 1], [1, 0]]
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_holds_one_block_of_codes(self, directed):
+        # n = 512 makes a block of max(_PAIR_BLOCK, n*n) = 2^18 centers, so
+        # 2.5 blocks take three. Above the walk: one block of int64 codes
+        # (2 MiB), the forward counts and one np.bincount result or the sum
+        # with the transpose (2 MiB each), with 256 KiB for everything else.
+        # A fresh code array for each offset would take 2 MiB more.
+        n, window = 512, 3
+        block = max(sampling._PAIR_BLOCK, n * n)
+        centers = 5 * block // 2
+        nodes = np.random.default_rng(2).integers(0, n, centers + window, dtype=np.uint16)
+        walk = Walk(nodes=nodes, n=n, seed=0)
+        tracemalloc.start()
+        try:
+            counts = extract_pairs(walk, window, directed, 0, centers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.total == (1 if directed else 2) * window * centers
+        assert peak <= 8 * block + 2 * 8 * n * n + 2**18
+
+    def test_no_centers_make_no_pairs(self):
+        walk = Walk(nodes=np.array([0, 1, 0], dtype=np.uint8), n=2, seed=0)
+        counts = extract_pairs(walk, window=2, directed=False, burn_in=1, centers=0)
+        assert counts.dense.tolist() == [[0, 0], [0, 0]]
 
     def test_walk_too_short_rejected(self):
         walk = Walk(nodes=np.array([0, 1]), n=2, seed=0)
