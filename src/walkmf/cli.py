@@ -26,52 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .factorization import (
-    SPLITS,
-    FactorizationError,
-    factorize,
-    reconstruction_error,
-    singular_values,
-    symmetrize_in_place,
-    write_embedding_matrix,
-)
-from .graphs import (
-    EdgeListError,
-    GraphStructureError,
-    load_edge_list,
-    require_connected,
-    stationary_distribution,
-    transition_matrix,
-)
-from .sampling import (
-    START_MODES,
-    default_sampler_config,
-    empirical_conditional,
-    empirical_frequency,
-    read_counts_csv,
-    sample_counts,
-    write_counts_csv,
-    write_counts_sidecar,
-)
-from .sgns import (
-    STEPS_PER_EPOCH,
-    TrainConfig,
-    dot_vs_shifted_pmi,
-    sgns_objective_upper_bound,
-    train_sgns,
-)
-from .targets import (
-    BIAS_MODES,
-    DEFAULT_EPSILON,
-    ZERO_POLICIES,
-    compare_matrices,
-    sgns_target_exact,
-    sgns_target_from_counts,
-    softmax_target,
-    walk_probability_matrix,
-    write_matrix_csv,
-    write_vector_csv,
-)
+from .choices import BIAS_MODES, DEFAULT_EPSILON, SPLITS, START_MODES, ZERO_POLICIES
+
+# Each runner imports the layer functions it calls, so a command loads only
+# the layers it runs, and the parser none.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -160,6 +118,8 @@ def _write_json(path: Path, payload) -> None:
 def _write_array(array: np.ndarray, out_dir: Path, stem: str, fmt: str, metadata=None) -> str:
     """Write a matrix or, if 1-d, a vector as <stem>.csv or as <stem>.json,
     whose payload holds it under "matrix" or "vector" beside its metadata."""
+    from .targets import write_matrix_csv, write_vector_csv
+
     name = f"{stem}.{fmt}"
     if fmt == "json":
         key = "matrix" if array.ndim == 2 else "vector"
@@ -173,6 +133,8 @@ def _write_array(array: np.ndarray, out_dir: Path, stem: str, fmt: str, metadata
 
 def _build_target(config, p, pi=None):
     """The configured target from the walk matrix p (and, for sgns, pi)."""
+    from .targets import sgns_target_exact, softmax_target
+
     policy = config["zero_policy"]
     if config["target"] == "softmax":
         return softmax_target(p, bias_mode=config["bias"], zero_policy=policy,
@@ -188,6 +150,9 @@ def _closed_forms(g, window: int, with_pi: bool = True):
     checked all the same; a directed one needs only the out-edges P is
     built from.
     """
+    from .graphs import require_connected, stationary_distribution, transition_matrix
+    from .targets import walk_probability_matrix
+
     a = transition_matrix(g)
     pi = stationary_distribution(g, a) if with_pi else None
     if not with_pi and not g.directed:
@@ -196,6 +161,8 @@ def _closed_forms(g, window: int, with_pi: bool = True):
 
 
 def run_exact(config: dict, out_dir: Path) -> list[str]:
+    from .graphs import load_edge_list
+
     g = load_edge_list(config["input"], directed=config["directed"])
     p, pi = _closed_forms(g, config["window"])
     target = _build_target(config, p, pi)
@@ -214,6 +181,10 @@ def run_exact(config: dict, out_dir: Path) -> list[str]:
 
 
 def run_sample(config: dict, out_dir: Path) -> list[str]:
+    from .graphs import load_edge_list
+    from .sampling import (default_sampler_config, sample_counts, write_counts_csv,
+                           write_counts_sidecar)
+
     g = load_edge_list(config["input"], directed=config["directed"])
     given = {key: config[key] for key in ("start_mode", "burn_in") if config[key] is not None}
     cfg = replace(default_sampler_config(g, window=config["window"], centers=config["length"],
@@ -226,6 +197,10 @@ def run_sample(config: dict, out_dir: Path) -> list[str]:
 
 
 def run_compare(config: dict, out_dir: Path) -> list[str]:
+    from .graphs import load_edge_list
+    from .sampling import empirical_conditional, empirical_frequency, read_counts_csv
+    from .targets import compare_matrices, sgns_target_exact, sgns_target_from_counts
+
     g = load_edge_list(config["input"], directed=config["directed"])
     counts, sampled_with = read_counts_csv(config["counts"], config["counts_sidecar"])
     if counts.n != g.n:
@@ -258,6 +233,10 @@ def run_compare(config: dict, out_dir: Path) -> list[str]:
 
 
 def run_embed(config: dict, out_dir: Path) -> list[str]:
+    from .factorization import (factorize, reconstruction_error, singular_values,
+                                symmetrize_in_place, write_embedding_matrix)
+    from .graphs import load_edge_list
+
     g = load_edge_list(config["input"], directed=config["directed"])
     if config["dim"] > g.n:
         raise UsageError(f"embedding dimension {config['dim']} exceeds node count {g.n}")
@@ -287,6 +266,11 @@ def run_embed(config: dict, out_dir: Path) -> list[str]:
 
 
 def run_train(config: dict, out_dir: Path) -> list[str]:
+    from .factorization import write_embedding_matrix
+    from .sampling import read_counts_csv
+    from .sgns import (STEPS_PER_EPOCH, TrainConfig, dot_vs_shifted_pmi,
+                       sgns_objective_upper_bound, train_sgns)
+
     cfg = TrainConfig(**{field.name: config[field.name] for field in fields(TrainConfig)})
     counts, _ = read_counts_csv(config["counts"], config["counts_sidecar"])
     result = train_sgns(counts, cfg)
@@ -593,8 +577,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"walkmf: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (EdgeListError, GraphStructureError, FactorizationError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # every data error, JSONDecodeError too, is a ValueError
         print(f"walkmf: error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except MemoryError as exc:

@@ -19,10 +19,9 @@ from typing import Optional
 
 import numpy as np
 
+from .choices import SPLITS
 from .parallel import write_rows
 from .targets import _BLOCK, TargetMatrix, _format_g17
-
-SPLITS = ("symmetric", "left")
 
 
 class FactorizationError(ValueError):

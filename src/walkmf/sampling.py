@@ -37,10 +37,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .choices import START_MODES
 from .graphs import Graph, require_connected, stationary_distribution
 from .parallel import run_jobs, write_rows
-
-START_MODES = ("stationary", "uniform", "fixed")
 
 DIRECTED_DEFAULT_BURN_IN = 1000
 _WALK_CHUNK = 1 << 20  # walk steps per guessed chunk
@@ -154,7 +153,8 @@ class CooccurrenceCounts:
         if mat.dtype.kind not in "iu":
             raise ValueError(f"counts must be integers, got dtype {mat.dtype}")
         mat = mat.astype(np.int64, copy=False).view()
-        if np.any(mat < 0):
+        # min, not any(mat < 0): no n x n temporary of bools
+        if mat.size and mat.min() < 0:
             raise ValueError("counts must be non-negative")
         if mat.sum(dtype=float) > _MAX_TOTAL:
             raise ValueError("counts total more than 2**62 pairs; their int64 sums could wrap")

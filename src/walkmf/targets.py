@@ -12,17 +12,17 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from .choices import BIAS_MODES, DEFAULT_EPSILON, ZERO_POLICIES
 from .graphs import Graph, transition_matrix
 from .parallel import write_rows
-from .sampling import CooccurrenceCounts
 
-ZERO_POLICIES = ("floor", "truncate", "mask")
-BIAS_MODES = ("zero", "log2t")
-DEFAULT_EPSILON = 1e-12
+if TYPE_CHECKING:  # exact and embed read no counts, so they do not load sampling
+    from .sampling import CooccurrenceCounts
+
 _BLOCK = 1 << 16  # entries a blockwise loop makes at a time
 
 

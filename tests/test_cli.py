@@ -1031,13 +1031,14 @@ class TestClosedFormsBuiltOnce:
                                                     monkeypatch, argv, pi_calls):
         calls = {"walk_probability_matrix": 0, "stationary_distribution": 0}
         for name in calls:
-            original = getattr(walkmf.cli, name)
+            original = getattr(walkmf, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            for module in (walkmf.cli, walkmf.targets):
+            # The commands call each function through the layer that defines it.
+            for module in (walkmf.graphs, walkmf.targets):
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
         if argv[0] == "compare":
@@ -1064,7 +1065,7 @@ class TestTransitionMatrixBuiltOnce:
             calls.append(g.n)
             return original(g)
 
-        for module in (walkmf.cli, walkmf.graphs, walkmf.targets):
+        for module in (walkmf.graphs, walkmf.targets):
             monkeypatch.setattr(module, "transition_matrix", counted)
         if argv[0] == "compare":
             counts = CooccurrenceCounts(np.array([[0, 2, 1], [2, 0, 3], [1, 3, 0]]))
@@ -1175,21 +1176,108 @@ class TestUsageErrors:
         assert not out.exists()
 
 
-class TestModuleEntryPoint:
-    def _run_python(self, *args):
-        src = Path(walkmf.__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                              text=True, timeout=60)
+def _run_python(*args):
+    """A fresh interpreter that imports walkmf from this checkout."""
+    src = Path(walkmf.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60)
 
+
+class TestModuleEntryPoint:
     def test_importing_main_module_runs_nothing(self):
-        proc = self._run_python("-c", "import walkmf.__main__")
+        proc = _run_python("-c", "import walkmf.__main__")
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert proc.stdout == ""
 
     def test_python_m_walkmf_still_runs_the_cli(self):
-        proc = self._run_python("-m", "walkmf", "--version")
+        proc = _run_python("-m", "walkmf", "--version")
         assert proc.returncode == 0
         assert proc.stdout.strip() == f"walkmf {walkmf.__version__}"
+
+
+# The walkmf modules a fresh interpreter holds after the statements before it.
+_LOADED = "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'walkmf'))"
+# `python -m walkmf ARGS...`, then its exit code and _LOADED on the last line.
+_RUN_AS_MAIN = f"""
+import runpy, sys
+sys.argv = ["walkmf", *sys.argv[1:]]
+try:
+    runpy.run_module("walkmf", run_name="__main__")
+except SystemExit as exc:
+    print(exc.code, end=" ")
+{_LOADED}
+"""
+_CLI_MODULES = {"walkmf", "walkmf.cli", "walkmf.choices"}
+
+# The public names `import walkmf` has always offered.
+_API = """
+    ConnectivityReport EdgeListError Graph GraphStructureError check_connectivity
+    load_edge_list parse_edge_list serialize_edge_list stationary_distribution
+    transition_matrix
+    CooccurrenceCounts SamplerConfig Walk default_sampler_config empirical_conditional
+    empirical_frequency extract_pairs generate_walk merge_counts read_counts_csv
+    sample_counts write_counts_csv write_counts_sidecar
+    ComparisonReport TargetMatrix WalkMatrix compare_matrices expected_neighbor_counts
+    read_matrix_csv sgns_target_exact sgns_target_from_counts softmax_target
+    walk_probability_matrix write_matrix_csv
+    EmbeddingPair FactorizationError factorize read_embedding_matrix
+    reconstruction_error singular_values truncated_svd write_embedding_matrix
+    TrainConfig TrainResult dot_matrix dot_vs_shifted_pmi sgns_objective
+    sgns_objective_gradient sgns_objective_upper_bound train_sgns
+""".split()
+
+
+class TestImportBudget:
+    """Each entry point loads only the layer modules it runs."""
+
+    @pytest.mark.parametrize("statement", [
+        "import walkmf.graphs",
+        "from walkmf import parse_edge_list",
+    ], ids=["import-layer", "from-package"])
+    def test_one_layer_loads_alone(self, statement):
+        proc = _run_python("-c", f"import sys; {statement}; {_LOADED}")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["walkmf", "walkmf.graphs"]
+
+    def test_help_loads_no_layer(self):
+        proc = _run_python("-c", _RUN_AS_MAIN, "--help")
+        assert proc.returncode == 0, proc.stderr
+        code, *loaded = proc.stdout.splitlines()[-1].split()
+        assert code == "0"
+        assert set(loaded) == _CLI_MODULES
+
+    @pytest.mark.parametrize("argv, layers", [
+        (["exact", "--target", "sgns"], {"graphs", "targets", "parallel"}),
+        (["sample", "-L", "100"], {"graphs", "sampling", "parallel"}),
+        (["compare", "--counts", "COUNTS"], {"graphs", "sampling", "targets", "parallel"}),
+        (["embed", "-d", "2"], {"graphs", "targets", "factorization", "parallel"}),
+        (["train", "-d", "2", "--epochs", "1"],
+         {"graphs", "sampling", "targets", "factorization", "sgns", "parallel"}),
+    ], ids=["exact", "sample", "compare", "embed", "train"])
+    def test_command_loads_its_own_layers(self, tmp_path, path_graph_file, argv, layers):
+        counts = str(_analytic_path_counts(tmp_path))
+        argv = [counts if arg == "COUNTS" else arg for arg in argv]
+        if argv[0] == "train":
+            argv += ["--counts", counts]
+        else:
+            argv += ["-i", str(path_graph_file), "-t", "2"]
+        proc = _run_python("-c", _RUN_AS_MAIN, *argv, "-o", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        code, *loaded = proc.stdout.splitlines()[-1].split()
+        assert code == "0"
+        assert set(loaded) == _CLI_MODULES | {f"walkmf.{layer}" for layer in layers}
+
+    def test_dir_and_star_import_list_the_whole_api(self):
+        assert sorted(walkmf.__all__) == sorted(_API)
+        assert set(_API) <= set(dir(walkmf))
+        namespace = {}
+        exec("from walkmf import *", namespace)
+        assert namespace.keys() - {"__builtins__"} == set(_API)
+        for name in _API:  # each name is the object its layer defines
+            value = namespace[name]
+            assert value is getattr(walkmf, name) is getattr(sys.modules[value.__module__], name)
+        with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+            walkmf.nonexistent

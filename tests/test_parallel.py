@@ -9,7 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-import walkmf.cli
+import walkmf.targets
 from graphgen import random_connected_graph, random_strongly_connected_digraph
 from walkmf import parallel, sampling
 from walkmf.cli import main
@@ -207,14 +207,14 @@ class TestErrorsFromWorkers:
     @pytest.mark.parametrize("error", ERRORS, ids=["ValueError", "MemoryError"])
     def test_exact_writer_raises(self, tmp_path, monkeypatch, capsys, cores, error):
         graph = _write_graph(tmp_path / "g.edges", random_connected_graph(20, seed=1))
-        write = walkmf.cli.write_matrix_csv
+        write = walkmf.targets.write_matrix_csv
 
         def failing(mat, path):
             if path.name == "target.csv":
                 raise error
             write(mat, path)
 
-        monkeypatch.setattr(walkmf.cli, "write_matrix_csv", failing)
+        monkeypatch.setattr(walkmf.targets, "write_matrix_csv", failing)
         code, err = _run(["exact", "-i", str(graph), "-t", "2", "-o", str(tmp_path / "out")],
                          capsys)
         message = str(error) if isinstance(error, ValueError) else f"out of memory: {error}"

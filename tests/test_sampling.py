@@ -788,6 +788,20 @@ class TestCountsValidation:
         with pytest.raises(ValueError):
             CooccurrenceCounts(mat)
 
+    def test_checks_hold_no_matrix_sized_temporary(self):
+        # Every worker's counts, the merged total and every read are built
+        # here; the checks may not allocate a byte per count beside them.
+        n = 1000
+        mat = np.ones((n, n), dtype=np.int64)
+        tracemalloc.start()
+        try:
+            counts = CooccurrenceCounts(mat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.total == n * n
+        assert peak < n * n
+
     def test_rejects_counts_whose_marginals_would_wrap(self):
         # Row 0 sums to 2^63, one past the int64 range.
         mat = np.array([[0, 2**62, 2**62], [1, 0, 0], [1, 0, 0]])
