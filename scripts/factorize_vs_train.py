@@ -24,7 +24,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from walkmf import (  # noqa: E402
     SamplerConfig,
     TrainConfig,
-    dot_vs_shifted_pmi,
     factorize,
     load_edge_list,
     parse_edge_list,
@@ -75,7 +74,7 @@ def main() -> int:
     cfg = TrainConfig(dim=graph.n, negatives=args.negative, epochs=args.epochs,
                       learning_rate=args.lr, seed=args.seed)
     result = train_sgns(counts, cfg)
-    report = dot_vs_shifted_pmi(counts, result.embeddings, args.negative)
+    report = result.vs_shifted_pmi
     print(f"  exact objective: start {result.objective_per_epoch[0]:.2f}, "
           f"final {result.final_objective:.2f}")
     print(f"  dot products vs shifted PMI: max abs {report.max_abs:.4f}, "

@@ -23,13 +23,11 @@ from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .choices import BIAS_MODES, DEFAULT_EPSILON, SPLITS, START_MODES, ZERO_POLICIES
 
 # Each runner imports the layer functions it calls, so a command loads only
-# the layers it runs, and the parser none.
+# the layers it runs, and the parser neither them nor NumPy.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -115,7 +113,7 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
-def _write_array(array: np.ndarray, out_dir: Path, stem: str, fmt: str, metadata=None) -> str:
+def _write_array(array, out_dir: Path, stem: str, fmt: str, metadata=None) -> str:
     """Write a matrix or, if 1-d, a vector as <stem>.csv or as <stem>.json,
     whose payload holds it under "matrix" or "vector" beside its metadata."""
     from .targets import write_matrix_csv, write_vector_csv
@@ -205,6 +203,9 @@ def run_compare(config: dict, out_dir: Path) -> list[str]:
     counts, sampled_with = read_counts_csv(config["counts"], config["counts_sidecar"])
     if counts.n != g.n:
         raise ValueError(f"counts cover {counts.n} nodes but the graph has {g.n}")
+    if not g.directed and not counts.is_symmetric():  # an undirected walk counts both ways
+        raise ValueError("counts are not symmetric, as an undirected graph's are; "
+                         "were they sampled with --directed?")
     if sampled_with is not None and sampled_with.window != config["window"]:
         raise ValueError(f"counts were sampled at window {sampled_with.window} but the "
                          f"comparison is at window {config['window']}")
@@ -233,6 +234,8 @@ def run_compare(config: dict, out_dir: Path) -> list[str]:
 
 
 def run_embed(config: dict, out_dir: Path) -> list[str]:
+    import numpy as np
+
     from .factorization import (factorize, reconstruction_error, singular_values,
                                 symmetrize_in_place, write_embedding_matrix)
     from .graphs import load_edge_list
@@ -268,8 +271,7 @@ def run_embed(config: dict, out_dir: Path) -> list[str]:
 def run_train(config: dict, out_dir: Path) -> list[str]:
     from .factorization import write_embedding_matrix
     from .sampling import read_counts_csv
-    from .sgns import (STEPS_PER_EPOCH, TrainConfig, dot_vs_shifted_pmi,
-                       sgns_objective_upper_bound, train_sgns)
+    from .sgns import STEPS_PER_EPOCH, TrainConfig, train_sgns
 
     cfg = TrainConfig(**{field.name: config[field.name] for field in fields(TrainConfig)})
     counts, _ = read_counts_csv(config["counts"], config["counts_sidecar"])
@@ -283,15 +285,13 @@ def run_train(config: dict, out_dir: Path) -> list[str]:
         for epoch, value in enumerate(result.objective_per_epoch):
             writer.writerow([epoch, "%.17g" % value])
 
-    comparison = dot_vs_shifted_pmi(counts, result.embeddings, cfg.negatives)
-    upper_bound = sgns_objective_upper_bound(counts, cfg.negatives)
     report = {
-        "dot_vs_shifted_pmi": asdict(comparison),
+        "dot_vs_shifted_pmi": asdict(result.vs_shifted_pmi),
         "final_objective": result.final_objective,
         "negatives": cfg.negatives,
-        "objective_gap": (upper_bound - result.final_objective) / abs(upper_bound),
+        "objective_gap": (result.upper_bound - result.final_objective) / abs(result.upper_bound),
         "steps": cfg.epochs * STEPS_PER_EPOCH,
-        "upper_bound": upper_bound,
+        "upper_bound": result.upper_bound,
     }
     _write_json(out_dir / "comparison.json", report)
     return ["embeddings_w.txt", "embeddings_h.txt", "training_log.csv", "comparison.json"]

@@ -74,6 +74,8 @@ class TrainConfig:
 class TrainResult:
     embeddings: EmbeddingPair
     objective_per_epoch: list[float]  # index 0 = before training
+    upper_bound: float  # sgns_objective_upper_bound of the counts
+    vs_shifted_pmi: ComparisonReport  # dot_vs_shifted_pmi of the counts and embeddings
 
     @property
     def final_objective(self) -> float:
@@ -155,6 +157,14 @@ def sgns_objective_gradient(counts: CooccurrenceCounts, pair: EmbeddingPair,
     return grad_w, grad_h
 
 
+def _shifted_pmi(pos: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, float]:
+    """The shifted PMI x* = log(pos/neg) at the nonzero pairs' weights pos > 0
+    and neg, and the upper bound: each pair's term at its x*, summed. Callers
+    drop the block's weights first, so the terms' temporaries are pair-sized."""
+    x_star = np.log(pos / neg)
+    return x_star, float(np.sum(pos * _log_sigmoid(x_star) + neg * _log_sigmoid(-x_star)))
+
+
 def sgns_objective_upper_bound(counts: CooccurrenceCounts, negatives: int) -> float:
     """Sum of the per-pair scalar maxima; no embedding can do better.
 
@@ -166,8 +176,7 @@ def sgns_objective_upper_bound(counts: CooccurrenceCounts, negatives: int) -> fl
     _, _, pos, neg = _block(counts, negatives)
     hit = pos > 0
     pos, neg = pos[hit], neg[hit]
-    x_star = np.log(pos / neg)
-    return float(np.sum(pos * _log_sigmoid(x_star) + neg * _log_sigmoid(-x_star)))
+    return _shifted_pmi(pos, neg)[1]
 
 
 def dot_vs_shifted_pmi(counts: CooccurrenceCounts, pair: EmbeddingPair,
@@ -202,7 +211,8 @@ def train_sgns(counts: CooccurrenceCounts, cfg: TrainConfig) -> TrainResult:
     all steps from cfg.learning_rate to LR_FLOOR_RATIO of it. The exact
     objective is recorded before training, by sgns_objective, and after
     every epoch, from the block being trained. A ValueError names the
-    first epoch whose objective is not finite.
+    first epoch whose objective is not finite. The same block gives the
+    bits of sgns_objective_upper_bound and of dot_vs_shifted_pmi.
     """
     n, k = counts.n, cfg.negatives
     rng = np.random.default_rng(cfg.seed)
@@ -242,5 +252,13 @@ def train_sgns(counts: CooccurrenceCounts, cfg: TrainConfig) -> TrainResult:
         if (step + 1) % STEPS_PER_EPOCH == 0:
             log(_block_objective(weight, neg, np.matmul(wb, hb.T, out=x)))
 
+    if not total_steps:  # otherwise x holds the dot products the last epoch logged
+        np.matmul(block[0], block[1].T, out=x)
     w[rows], h[cols] = block
-    return TrainResult(embeddings=pair, objective_per_epoch=history)
+    del weight  # before the reports, which keep only the nonzero pairs
+    hit = pos > 0
+    x, pos, neg = x[hit], pos[hit], neg[hit]
+    x_star, upper_bound = _shifted_pmi(pos, neg)
+    report = compare_matrices(x, x_star)
+    return TrainResult(embeddings=pair, objective_per_epoch=history, upper_bound=upper_bound,
+                       vs_shifted_pmi=replace(report, excluded=n * n - report.compared))

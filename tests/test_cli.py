@@ -304,8 +304,9 @@ class TestCompare:
         graph_path = tmp_path / "g.edges"
         graph_path.write_text("".join(f"{u} {v}\n" for u, v in random_connected_graph(n, 3).edges))
         rng = np.random.default_rng(4)
-        counts = CooccurrenceCounts(
-            rng.integers(1, 20, (n, n)) * (rng.random((n, n)) < 0.3))
+        # Symmetric, as an undirected walk's counts are.
+        upper = np.triu(rng.integers(1, 20, (n, n)) * (rng.random((n, n)) < 0.3))
+        counts = CooccurrenceCounts(upper + np.triu(upper, 1).T)
         write_counts_csv(counts, tmp_path / "counts.csv")
         write_counts_sidecar(counts, tmp_path / "counts.json")
         del counts
@@ -327,6 +328,23 @@ class TestCompare:
                      "-t", "2", "-o", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err == "walkmf: error: counts are empty\n"
+
+    def test_directed_counts_on_an_undirected_graph_exit_2(self, tmp_path, capsys):
+        # A 6-cycle with one chord is strongly connected and has no two
+        # opposite arcs, so it reads as an undirected graph too.
+        graph = tmp_path / "g.edges"
+        graph.write_text("0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n0 3\n")
+        assert main(["sample", "-i", str(graph), "--directed", "-t", "2", "-L", "2000",
+                     "-o", str(tmp_path / "sample")]) == 0
+        compare = ["compare", "-i", str(graph), "--counts", str(tmp_path / "sample" / "counts.csv"),
+                   "-t", "2"]
+        out = tmp_path / "cmp"
+        assert main([*compare, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "walkmf: error: counts are not symmetric, as an undirected graph's are; "
+            "were they sampled with --directed?\n")
+        assert not out.exists()
+        assert main([*compare, "--directed", "-o", str(out)]) == 0
 
     def test_mismatched_graph_exits_2(self, tmp_path, capsys):
         counts_csv = _analytic_path_counts(tmp_path)
@@ -1242,12 +1260,15 @@ class TestImportBudget:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["walkmf", "walkmf.graphs"]
 
-    def test_help_loads_no_layer(self):
-        proc = _run_python("-c", _RUN_AS_MAIN, "--help")
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], "0"), (["--version"], "0"), (["exact", "-t", "2"], "1"),
+    ], ids=["help", "version", "usage-error"])
+    def test_parser_loads_no_layer_and_no_numpy(self, argv, code):
+        proc = _run_python("-c", f"{_RUN_AS_MAIN}print('numpy' in sys.modules)", *argv)
         assert proc.returncode == 0, proc.stderr
-        code, *loaded = proc.stdout.splitlines()[-1].split()
-        assert code == "0"
-        assert set(loaded) == _CLI_MODULES
+        *_, modules, numpy_loaded = proc.stdout.splitlines()
+        assert modules.split() == [code, *sorted(_CLI_MODULES)]
+        assert numpy_loaded == "False"
 
     @pytest.mark.parametrize("argv, layers", [
         (["exact", "--target", "sgns"], {"graphs", "targets", "parallel"}),

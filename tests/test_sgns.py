@@ -462,23 +462,40 @@ def _directed_counts(seed):
     return sample_counts(graph, SamplerConfig(window=2, centers=150, seed=seed))
 
 
+def _block_counts(source, seed, rng):
+    """Counts whose observed block is smaller than n x n."""
+    if source == "partly-observed":
+        return _partly_observed_counts(rng, 40)[0]
+    counts = _directed_counts(seed)
+    assert not counts.is_symmetric()
+    assert 0 < np.count_nonzero(counts.node_counts) < counts.n
+    return counts
+
+
+_BLOCK_SOURCES = pytest.mark.parametrize("source, seed, k", [
+    ("partly-observed", 0, 1), ("partly-observed", 1, 5),
+    ("directed", 2, 1), ("directed", 3, 5),
+])
+
+
 class TestReportsOverTheBlock:
-    @pytest.mark.parametrize("source, seed, k", [
-        ("partly-observed", 0, 1), ("partly-observed", 1, 5),
-        ("directed", 2, 1), ("directed", 3, 5),
-    ])
+    @_BLOCK_SOURCES
     def test_same_bits_as_the_nonzero_route(self, source, seed, k):
         rng = np.random.default_rng(seed)
-        if source == "partly-observed":
-            counts, _, _ = _partly_observed_counts(rng, 40)
-        else:
-            counts = _directed_counts(seed)
-            assert not counts.is_symmetric()
-            assert 0 < np.count_nonzero(counts.node_counts) < counts.n
+        counts = _block_counts(source, seed, rng)
         pair = _random_pair(rng, counts.n, 4)
         bound, report = _nonzero_route(counts, pair, k)
         assert sgns_objective_upper_bound(counts, k) == bound
         assert dot_vs_shifted_pmi(counts, pair, k) == report
+
+    @pytest.mark.parametrize("epochs", [0, 2])
+    @_BLOCK_SOURCES
+    def test_trainer_reports_the_bits_of_the_public_functions(self, source, seed, k, epochs):
+        # At epochs=0 the trainer has taken no dot products of its block yet.
+        counts = _block_counts(source, seed, np.random.default_rng(seed))
+        result = train_sgns(counts, TrainConfig(dim=4, negatives=k, epochs=epochs, seed=seed))
+        assert result.upper_bound == sgns_objective_upper_bound(counts, k)
+        assert result.vs_shifted_pmi == dot_vs_shifted_pmi(counts, result.embeddings, k)
 
 
 class TestDotMatrix:
