@@ -38,6 +38,11 @@ DEFAULT_WINDOW = 5
 # t - 1 n x n products and pair extraction one pass over the centers per
 # offset, so without a bound a window could keep a command running forever.
 MAX_WINDOW = 1000
+# The largest sample --workers. sample builds a job for each worker before the
+# first walk, and each worker's walk costs about a millisecond even on a small
+# graph, so without a bound one flag could ask for more memory or time than
+# any run has.
+MAX_WORKERS = 1024
 DEFAULT_NEGATIVES = 5
 DEFAULT_DIM = 64
 TARGET_KINDS = ("softmax", "sgns")
@@ -65,11 +70,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _window(text: str) -> int:
+def _positive_int_at_most(text: str, maximum: int) -> int:
     value = _positive_int(text)
-    if value > MAX_WINDOW:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_WINDOW}, got {text}")
+    if value > maximum:
+        raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {text}")
     return value
+
+
+def _window(text: str) -> int:
+    return _positive_int_at_most(text, MAX_WINDOW)
+
+
+def _workers(text: str) -> int:
+    return _positive_int_at_most(text, MAX_WORKERS)
 
 
 def _nonnegative_int(text: str) -> int:
@@ -353,7 +366,8 @@ _COMMANDS = {
         (("--length", "-L"), "length", {"type": _positive_int, "required": True,
                                         "help": "number of walk positions used as centers"}),
         _SEED,
-        (("--workers",), "workers", {"type": _positive_int, "default": 1}),
+        (("--workers",), "workers", {"type": _workers, "default": 1,
+                                     "help": f"independent walks, 1 to {MAX_WORKERS}"}),
         (("--start-mode",), "start_mode", {
             "choices": START_MODES, "default": None,
             "help": "default: stationary for undirected, uniform for directed"}),

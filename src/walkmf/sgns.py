@@ -147,7 +147,9 @@ def _block_objective(weight: np.ndarray, neg: np.ndarray, x: np.ndarray) -> floa
 def sgns_objective_gradient(counts: CooccurrenceCounts, pair: EmbeddingPair,
                             negatives: int) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient of sgns_objective with respect to (w, h); rows of
-    nodes the counts never observed are zero. train_sgns steps with it."""
+    nodes the counts never observed are zero. train_sgns does not call it:
+    it steps with _block_gradient on its own block, the helper this
+    function calls too."""
     _check_covers(counts, pair)
     rows, cols, pos, neg = _block(counts, negatives)
     grad_w = np.zeros(pair.w.shape)
@@ -206,8 +208,9 @@ def train_sgns(counts: CooccurrenceCounts, cfg: TrainConfig) -> TrainResult:
     w and h start from the uniform initialization seeded by cfg.seed. Only
     the rows of observed centers and observed contexts carry weight, so
     only they are trained; the others keep their initial values. Each epoch
-    runs STEPS_PER_EPOCH steps of Adam (Kingma & Ba, arXiv:1412.6980) on
-    sgns_objective_gradient's block. The step size decays linearly over
+    runs STEPS_PER_EPOCH steps of Adam (Kingma & Ba, arXiv:1412.6980), each
+    on _block_gradient of the block it holds, the helper that
+    sgns_objective_gradient also calls. The step size decays linearly over
     all steps from cfg.learning_rate to LR_FLOOR_RATIO of it. The exact
     objective is recorded before training, by sgns_objective, and after
     every epoch, from the block being trained. A ValueError names the

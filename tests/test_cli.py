@@ -13,9 +13,8 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import walkmf.cli
-import walkmf.graphs
-import walkmf.targets
-from graphgen import geometric_chain, random_connected_graph, random_strongly_connected_digraph
+import walkmf.parallel
+from graphgen import geometric_chain, random_connected_graph
 from walkmf import (
     CooccurrenceCounts,
     TrainConfig,
@@ -512,32 +511,6 @@ class TestEmbed:
         assert report["frobenius_error"] == reconstruction_error(sym, pair)
         assert report["singular_values"] == singular_values(sym).tolist()
 
-    @pytest.mark.parametrize("make, argv, symmetric", [
-        (random_connected_graph, ["--target", "sgns"], True),
-        (random_connected_graph, ["--target", "softmax"], False),
-        (random_strongly_connected_digraph, ["--target", "sgns", "--directed"], False),
-    ], ids=["undirected-sgns", "softmax", "directed-sgns"])
-    def test_spectrum_of_a_symmetric_target_takes_one_hermitian_call(
-            self, tmp_path, monkeypatch, make, argv, symmetric):
-        # A symmetric target's spectrum comes from the eigenvalue-only
-        # driver; a fallback to the general SVD would show in no output.
-        graph = tmp_path / "g.edges"
-        graph.write_text(serialize_edge_list(make(12, 3, extra_edges=12)))
-        hermitian = []
-        original = np.linalg.svd
-
-        def recorded(*args, **kwargs):
-            hermitian.append(kwargs.get("hermitian", False))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", recorded)
-        assert main(["embed", "-i", str(graph), "-t", "2", "-d", "2", *argv,
-                     "-o", str(tmp_path / "out")]) == 0
-        if symmetric:
-            assert hermitian == [True]
-        else:
-            assert hermitian and True not in hermitian
-
 
 class TestTrain:
     def test_upper_bound_where_k_times_the_marginals_pass_int64(self, tmp_path):
@@ -757,6 +730,7 @@ class TestManifests:
         ("exact", "window", 10**20 - 1, _with_flags("-t", "99999999999999999999")),
         ("sample", "length", 0, _with_flags("-L", "0")),
         ("sample", "workers", 0, _with_flags("--workers", "0")),
+        ("sample", "workers", 1025, _with_flags("--workers", "1025")),
         ("sample", "burn_in", -1, _with_flags("--burn-in", "-1")),
         ("train", "epochs", -1, _with_flags("--epochs", "-1")),
         # Floats the option's own flag refuses.
@@ -769,9 +743,9 @@ class TestManifests:
         ("exact", "target", "--help", _with_flags("--target=--help")),
     ], ids=["str-window", "bool-window", "int-directed", "unknown-target", "null-input",
             "unknown-key", "float-start-node", "str-learning-rate", "zero-window",
-            "huge-window", "zero-length", "zero-workers", "negative-burn-in", "negative-epochs",
-            "epsilon-above-one", "epsilon-one", "zero-learning-rate", "negative-init-scale",
-            "infinite-init-scale", "help-as-target"])
+            "huge-window", "zero-length", "zero-workers", "huge-workers", "negative-burn-in",
+            "negative-epochs", "epsilon-above-one", "epsilon-one", "zero-learning-rate",
+            "negative-init-scale", "infinite-init-scale", "help-as-target"])
     def test_rerun_ill_typed_config_exits_2(self, tmp_path, capsys, path_graph_file,
                                             command, key, value, refusal):
         # A refused value reads as the command line refuses it, in its words.
@@ -999,6 +973,7 @@ class TestRecordedConfig:
     _FLAG_TEXT = {
         walkmf.cli._positive_int: st.integers(1, 10**9).map(str),
         walkmf.cli._window: st.integers(1, walkmf.cli.MAX_WINDOW).map(str),
+        walkmf.cli._workers: st.integers(1, walkmf.cli.MAX_WORKERS).map(str),
         walkmf.cli._nonnegative_int: st.integers(0, 10**9).map(str),
         walkmf.cli._positive_float: st.one_of(
             st.floats(0, exclude_min=True, allow_infinity=False).map(repr),
@@ -1035,64 +1010,6 @@ class TestRecordedConfig:
         long = ["embed", "--input", files["graph"], "--window", "2", "--negative", "3",
                 "--dim", "2"]
         assert self._config(tmp_path / "short", short) == self._config(tmp_path / "long", long)
-
-
-class TestClosedFormsBuiltOnce:
-    @pytest.mark.parametrize("argv, pi_calls", [
-        (["exact", "--target", "softmax"], 1),
-        (["exact", "--target", "sgns"], 1),
-        (["compare", "-k", "1"], 1),
-        (["embed", "--target", "sgns", "-d", "2"], 1),
-        (["embed", "--target", "softmax", "-d", "2"], 0),
-    ], ids=["exact-softmax", "exact-sgns", "compare", "embed-sgns", "embed-softmax"])
-    def test_walk_matrix_and_stationary_call_counts(self, tmp_path, path_graph_file,
-                                                    monkeypatch, argv, pi_calls):
-        calls = {"walk_probability_matrix": 0, "stationary_distribution": 0}
-        for name in calls:
-            original = getattr(walkmf, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            # The commands call each function through the layer that defines it.
-            for module in (walkmf.graphs, walkmf.targets):
-                if getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, counted)
-        if argv[0] == "compare":
-            argv = argv + ["--counts", str(_analytic_path_counts(tmp_path))]
-        assert main(argv + ["-i", str(path_graph_file), "-t", "2",
-                            "-o", str(tmp_path / "out")]) == 0
-        assert calls == {"walk_probability_matrix": 1, "stationary_distribution": pi_calls}
-
-
-class TestTransitionMatrixBuiltOnce:
-    @pytest.mark.parametrize("argv", [
-        ["exact", "--target", "sgns"],
-        ["compare", "-k", "1"],
-        ["embed", "--target", "sgns", "-d", "2"],
-    ], ids=["exact", "compare", "embed"])
-    def test_directed_commands_build_one_transition_matrix(self, tmp_path, monkeypatch, argv):
-        # Directed pi runs on the transition matrix the walk matrix is built from.
-        graph = tmp_path / "cycle.edges"
-        graph.write_text("0 1\n1 2\n2 0\n2 1\n")
-        calls = []
-        original = walkmf.graphs.transition_matrix
-
-        def counted(g):
-            calls.append(g.n)
-            return original(g)
-
-        for module in (walkmf.graphs, walkmf.targets):
-            monkeypatch.setattr(module, "transition_matrix", counted)
-        if argv[0] == "compare":
-            counts = CooccurrenceCounts(np.array([[0, 2, 1], [2, 0, 3], [1, 3, 0]]))
-            write_counts_csv(counts, tmp_path / "c.csv")
-            write_counts_sidecar(counts, tmp_path / "c.json")
-            argv = argv + ["--counts", str(tmp_path / "c.csv")]
-        assert main(argv + ["-i", str(graph), "--directed", "-t", "2",
-                            "-o", str(tmp_path / "out")]) == 0
-        assert calls == [3]
 
 
 class TestUsageErrors:
@@ -1149,6 +1066,24 @@ class TestUsageErrors:
     def test_the_largest_window_runs(self, tmp_path, path_graph_file, command, flags):
         assert main([command, "-i", str(path_graph_file), "-t", str(walkmf.cli.MAX_WINDOW),
                      *flags, "-o", str(tmp_path / "out")]) == 0
+
+    def test_workers_past_their_maximum_is_usage_error(self, tmp_path, path_graph_file, capsys):
+        # Unbounded, -L 10^9 --workers 10^9 would build ~400 GB of jobs before one walk.
+        out = tmp_path / "out"
+        code = main(["sample", "-i", str(path_graph_file), "-L", "1000000000",
+                     "--workers", "1000000000", "-o", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.endswith(
+            "walkmf sample: error: argument --workers: must be at most 1024, got 1000000000\n")
+        assert not out.exists()
+
+    def test_the_most_workers_run(self, tmp_path, path_graph_file, monkeypatch):
+        # On one core every worker's walk runs in this process: nothing is forked.
+        monkeypatch.setattr(walkmf.parallel, "available_cores", lambda: 1)
+        workers = str(walkmf.cli.MAX_WORKERS)
+        assert main(["sample", "-i", str(path_graph_file), "-L", workers, "--workers", workers,
+                     "-o", str(tmp_path / "out")]) == 0
+        assert _read_manifest(tmp_path / "out")["config"]["workers"] == walkmf.cli.MAX_WORKERS
 
 
     @pytest.mark.parametrize("argv, stderr", [
